@@ -2,7 +2,8 @@
 //! live coordinator, snapshot propagation latency from a coordinator
 //! refresh to the version being visible on a replica, and end-to-end
 //! convergence of a full mini-fabric (2 ingest nodes -> coordinator -> 1
-//! replica).
+//! replica).  Every node runs its default intervals: pushes and syncs are
+//! sent on change, so the intervals only pace retries.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pka_datagen::sampler::{sample_dataset, seeded_rng};
@@ -79,7 +80,7 @@ fn shard_push_throughput(c: &mut Criterion) {
 }
 
 /// Wall time from a coordinator `refresh` returning to the new version
-/// being served by a push-fed replica (pump interval + snapshot-sync +
+/// being served by a push-fed replica (pump wake-up + snapshot-sync +
 /// replica apply).
 fn snapshot_propagation(c: &mut Criterion) {
     let schema = pka_datagen::survey::ground_truth().shared_schema();
@@ -91,7 +92,6 @@ fn snapshot_propagation(c: &mut Criterion) {
                 ServeConfig::new()
                     .with_stream(StreamConfig::new().with_policy(RefreshPolicy::Manual)),
             )
-            .with_sync_interval(Duration::from_millis(2))
             .with_replica(replica.addr().to_string())
             .with_retry(RetryPolicy::fast()),
     )
@@ -141,7 +141,6 @@ fn end_to_end_convergence(c: &mut Criterion) {
                 ServeConfig::new()
                     .with_stream(StreamConfig::new().with_policy(RefreshPolicy::Manual)),
             )
-            .with_sync_interval(Duration::from_millis(2))
             .with_replica(replica.addr().to_string())
             .with_retry(retry.clone()),
     )
@@ -153,7 +152,6 @@ fn end_to_end_convergence(c: &mut Criterion) {
                 schema.clone(),
                 IngestNodeConfig::new(coordinator.addr().to_string())
                     .with_serve(ServeConfig::new().with_node_name(*name))
-                    .with_push_interval(Duration::from_millis(2))
                     .with_retry(retry.clone()),
             )
             .expect("ingest node start")

@@ -7,23 +7,25 @@
 //! shards from ingest nodes that cannot push, and (b) offers every newly
 //! published snapshot to each configured replica via `snapshot-sync`.
 //!
-//! The pump is deliberately stateless about replica health: it tracks only
-//! the highest version each replica has acknowledged and re-offers the
-//! current snapshot whenever a replica is behind.  Because replicas gate on
-//! the snapshot version, a re-offer after a lost acknowledgement is a
-//! no-op on the replica — at-least-once delivery is safe, so nothing here
-//! needs to be exactly-once.
+//! The pump is event-driven: it blocks on the server's
+//! [`ChangeWatch`](pka_serve::ChangeWatch) and offers a snapshot as soon
+//! as the engine publishes it.  It is deliberately stateless about replica
+//! health: it tracks only the highest version each replica has
+//! acknowledged and re-offers the current snapshot, every sync interval,
+//! while a replica is behind.  Because replicas gate on the snapshot
+//! version, a re-offer after a lost acknowledgement is a no-op on the
+//! replica — at-least-once delivery is safe, so nothing here needs to be
+//! exactly-once.
 
 use crate::retry::{FabricClient, RetryPolicy};
 use crate::{FabricError, Result};
 use pka_contingency::Schema;
-use pka_serve::{FabricRole, ServeConfig, Server, ServerHandle};
+use pka_serve::{ChangeWatch, FabricRole, ServeConfig, Server, ServerHandle};
 use pka_stream::SnapshotHandle;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Configuration of a [`Coordinator`].
 #[derive(Debug, Clone)]
@@ -36,7 +38,9 @@ pub struct CoordinatorConfig {
     /// Addresses of ingest nodes to poll via `shard-pull` (push-capable
     /// nodes need no entry here).
     pub ingest_nodes: Vec<String>,
-    /// How often the pump polls for new shards and behind replicas.
+    /// How often the pump re-offers the current snapshot to a replica
+    /// whose last sync failed, and polls the `shard-pull` ingest nodes.
+    /// Fresh snapshots are offered on publish, not on this timer.
     pub sync_interval: Duration,
     /// Retry policy for every peer conversation.
     pub retry: RetryPolicy,
@@ -55,7 +59,7 @@ impl Default for CoordinatorConfig {
 }
 
 impl CoordinatorConfig {
-    /// Defaults: no peers, 25 ms pump interval.
+    /// Defaults: no peers, 25 ms re-offer and poll interval.
     pub fn new() -> Self {
         Self::default()
     }
@@ -78,7 +82,7 @@ impl CoordinatorConfig {
         self
     }
 
-    /// Sets the pump interval.
+    /// Sets the re-offer and poll interval.
     pub fn with_sync_interval(mut self, interval: Duration) -> Self {
         self.sync_interval = interval;
         self
@@ -94,7 +98,7 @@ impl CoordinatorConfig {
 /// A running coordinator node.
 pub struct Coordinator {
     server: Option<ServerHandle>,
-    stop: Arc<AtomicBool>,
+    changes: Arc<ChangeWatch>,
     pump: Option<JoinHandle<()>>,
     addr: SocketAddr,
 }
@@ -110,7 +114,7 @@ impl Coordinator {
         let serve = config.serve.clone().with_role(FabricRole::Coordinator);
         let server = Server::start(schema, serve)?;
         let addr = server.addr();
-        let stop = Arc::new(AtomicBool::new(false));
+        let changes = server.changes();
         let pump = spawn_pump(
             server.snapshots(),
             addr,
@@ -118,9 +122,9 @@ impl Coordinator {
             config.ingest_nodes,
             config.sync_interval,
             config.retry,
-            Arc::clone(&stop),
+            Arc::clone(&changes),
         );
-        Ok(Self { server: Some(server), stop, pump: Some(pump), addr })
+        Ok(Self { server: Some(server), changes, pump: Some(pump), addr })
     }
 
     /// The coordinator's bound address.
@@ -157,7 +161,7 @@ impl Coordinator {
     }
 
     fn halt_pump(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.changes.close();
         if let Some(pump) = self.pump.take() {
             let _ = pump.join();
         }
@@ -178,7 +182,7 @@ fn spawn_pump(
     ingest_nodes: Vec<String>,
     interval: Duration,
     retry: RetryPolicy,
-    stop: Arc<AtomicBool>,
+    changes: Arc<ChangeWatch>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
         // One highest-acknowledged version per replica; `None` until the
@@ -196,18 +200,27 @@ fn spawn_pump(
         // public `shard-push` endpoint, so the push and pull paths share
         // one absorption code path (and its sequence gating).
         let mut loopback = FabricClient::new(self_addr.to_string(), retry);
-        while !stop.load(Ordering::SeqCst) {
-            for (peer, last_seq) in pulls.iter_mut() {
-                let pulled = peer.call(|c| c.shard_pull());
-                if let Ok(answer) = pulled {
-                    if answer.seq > *last_seq {
-                        let pushed = loopback
-                            .call(|c| c.shard_push(&answer.source, answer.seq, &answer.shard));
-                        if pushed.is_ok() {
-                            *last_seq = answer.seq;
+        let mut next_poll = Instant::now();
+        // The generation is read before the snapshot is loaded, so a
+        // publish that lands mid-pass is caught by the next wait.
+        let mut generation = changes.generation();
+        while let Some(seen) = generation {
+            // Pull-only nodes cannot announce a change: poll them on the
+            // interval, whatever else woke the pump.
+            if !pulls.is_empty() && Instant::now() >= next_poll {
+                for (peer, last_seq) in pulls.iter_mut() {
+                    let pulled = peer.call(|c| c.shard_pull());
+                    if let Ok(answer) = pulled {
+                        if answer.seq > *last_seq {
+                            let pushed = loopback
+                                .call(|c| c.shard_push(&answer.source, answer.seq, &answer.shard));
+                            if pushed.is_ok() {
+                                *last_seq = answer.seq;
+                            }
                         }
                     }
                 }
+                next_poll = Instant::now() + interval;
             }
             if let Some(snapshot) = snapshots.load() {
                 let meta = snapshot.meta();
@@ -224,19 +237,14 @@ fn spawn_pump(
                     }
                 }
             }
-            sleep_until(&stop, interval);
+            // Wake on the next publish; otherwise re-offer to a behind
+            // replica (and poll pull-only nodes) once the interval is up.
+            let wait = if pulls.is_empty() {
+                interval
+            } else {
+                next_poll.saturating_duration_since(Instant::now())
+            };
+            generation = changes.wait_past(seen, wait);
         }
     })
-}
-
-/// Sleeps for `interval` in short slices so a stop request is honoured
-/// promptly.
-pub(crate) fn sleep_until(stop: &AtomicBool, interval: Duration) {
-    let slice = Duration::from_millis(10);
-    let mut remaining = interval;
-    while !remaining.is_zero() && !stop.load(Ordering::SeqCst) {
-        let nap = remaining.min(slice);
-        std::thread::sleep(nap);
-        remaining = remaining.saturating_sub(nap);
-    }
 }

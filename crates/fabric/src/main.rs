@@ -15,6 +15,17 @@
 //!                  [--storm-requests N] [--shutdown]
 //! ```
 //!
+//! Pushes and syncs are sent on change: an ingest node pushes as soon as
+//! a batch is journalled and acknowledged, and a coordinator offers each
+//! snapshot to its `--replica`s as soon as it publishes it.  The
+//! intervals only pace what cannot be event-driven (all default 25 ms
+//! except `--pull-interval-ms`, 50 ms):
+//!
+//! * `--push-interval-ms` — retry delay after a failed push;
+//! * `--sync-interval-ms` — re-offer delay to a replica whose last sync
+//!   failed, and the poll period for `--pull` ingest nodes;
+//! * `--pull-interval-ms` — poll period of a replica given `--coordinator`.
+//!
 //! `SCHEMA` is `--schema name=v1|v2;…`, `--cards 3,2,2` or `--survey`, as
 //! in `pka-serve`; every node of one fabric must be given the same schema.
 //! Every role also accepts the reactor flags `--loop-shards`,

@@ -14,14 +14,12 @@
 //! `snapshot-sync` endpoint — the same validated path coordinator pushes
 //! take, so there is exactly one way a snapshot can enter a replica.
 
-use crate::coordinator::sleep_until;
 use crate::retry::{FabricClient, RetryPolicy};
 use crate::{FabricError, Result};
 use pka_contingency::Schema;
-use pka_serve::{FabricRole, ServeConfig, Server, ServerHandle};
+use pka_serve::{ChangeWatch, FabricRole, ServeConfig, Server, ServerHandle};
 use pka_stream::SnapshotHandle;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -87,7 +85,7 @@ impl ReplicaConfig {
 /// A running read replica.
 pub struct Replica {
     server: Option<ServerHandle>,
-    stop: Arc<AtomicBool>,
+    changes: Arc<ChangeWatch>,
     puller: Option<JoinHandle<()>>,
     addr: SocketAddr,
 }
@@ -104,7 +102,7 @@ impl Replica {
         let serve = config.serve.clone().with_role(FabricRole::Replica);
         let server = Server::start(schema, serve)?;
         let addr = server.addr();
-        let stop = Arc::new(AtomicBool::new(false));
+        let changes = server.changes();
         let puller = config.coordinator.map(|coordinator| {
             spawn_puller(
                 server.snapshots(),
@@ -112,10 +110,10 @@ impl Replica {
                 coordinator,
                 config.pull_interval,
                 config.retry,
-                Arc::clone(&stop),
+                Arc::clone(&changes),
             )
         });
-        Ok(Self { server: Some(server), stop, puller, addr })
+        Ok(Self { server: Some(server), changes, puller, addr })
     }
 
     /// The replica's bound address.
@@ -151,7 +149,7 @@ impl Replica {
     }
 
     fn halt_puller(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.changes.close();
         if let Some(puller) = self.puller.take() {
             let _ = puller.join();
         }
@@ -170,7 +168,7 @@ fn spawn_puller(
     coordinator: String,
     interval: Duration,
     retry: RetryPolicy,
-    stop: Arc<AtomicBool>,
+    changes: Arc<ChangeWatch>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
         let mut coordinator = FabricClient::new(coordinator, retry.clone());
@@ -178,7 +176,9 @@ fn spawn_puller(
         // `snapshot-sync` endpoint so push and pull share the engine's
         // validation and version gate.
         let mut loopback = FabricClient::new(self_addr.to_string(), retry);
-        while !stop.load(Ordering::SeqCst) {
+        // The coordinator is another process: poll it on the interval, and
+        // wait on the watch only to be stopped (local syncs are not news).
+        while changes.generation().is_some() {
             let local = snapshots.version().unwrap_or(0);
             let remote = coordinator.call(|c| c.snapshot_version());
             if let Ok(Some(version)) = remote {
@@ -190,7 +190,7 @@ fn spawn_puller(
                     }
                 }
             }
-            sleep_until(&stop, interval);
+            changes.wait_closed(interval);
         }
     })
 }

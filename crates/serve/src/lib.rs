@@ -54,6 +54,7 @@ pub mod error;
 pub mod protocol;
 pub mod queue;
 pub mod server;
+pub mod watch;
 
 pub use admission::{
     AdmissionCounters, BucketSpec, DeadlineLayer, RateLimitConfig, RateLimitLayer,
@@ -65,6 +66,7 @@ pub use server::{
     DurabilityConfig, EngineStats, FabricRole, IngestSummary, RefitSummary, ServeConfig, Server,
     ServerHandle, ServerStats, ShardPushSummary, ShutdownTrigger, SourceStat, SyncSummary,
 };
+pub use watch::ChangeWatch;
 
 // Termination-signal plumbing, re-exported so binaries built on this
 // crate (pka-serve itself, pka-fabric) can route SIGTERM to a graceful

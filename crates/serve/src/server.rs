@@ -56,6 +56,7 @@ use crate::protocol::{
 use crate::queue::{
     engine_channel, CommandClass, EngineQueue, EngineSender, PushRefusal, QueueEntry, RecvOutcome,
 };
+use crate::watch::ChangeWatch;
 use pka_contingency::{Assignment, Schema};
 use pka_core::{KnowledgeBase, Query};
 use pka_expert::explain_query;
@@ -665,9 +666,11 @@ impl Server {
 
         let (engine_tx, queue) = engine_channel::<EngineCommand>(config.engine_queue_cap);
         let engine_queue = Arc::clone(&queue);
+        let changes = Arc::new(ChangeWatch::new());
+        let engine_changes = Arc::clone(&changes);
         let engine_thread = std::thread::Builder::new()
             .name("pka-serve-engine".to_string())
-            .spawn(move || run_engine(engine, engine_queue, durability))?;
+            .spawn(move || run_engine(engine, engine_queue, durability, &engine_changes))?;
 
         let admission = Arc::new(AdmissionCounters::default());
         let shared = Arc::new(Shared {
@@ -706,7 +709,13 @@ impl Server {
         ));
         let reactor = Reactor::start(listener, service, net_config, shutdown, metrics)?;
 
-        Ok(ServerHandle { addr, shared, reactor: Some(reactor), engine: Some(engine_thread) })
+        Ok(ServerHandle {
+            addr,
+            shared,
+            changes,
+            reactor: Some(reactor),
+            engine: Some(engine_thread),
+        })
     }
 }
 
@@ -716,6 +725,7 @@ impl Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
+    changes: Arc<ChangeWatch>,
     reactor: Option<ReactorHandle>,
     engine: Option<JoinHandle<StreamingEngine>>,
 }
@@ -735,6 +745,14 @@ impl ServerHandle {
     /// readers and tests).
     pub fn snapshots(&self) -> SnapshotHandle {
         self.shared.snapshots.clone()
+    }
+
+    /// The engine's change counter: bumped after every command that can
+    /// change counts or the published snapshot (`ingest`, `shard-push`,
+    /// `refresh`, `snapshot-sync`), once the command has been journalled
+    /// and answered.  Fabric pumps block on it to propagate on change.
+    pub fn changes(&self) -> Arc<ChangeWatch> {
+        Arc::clone(&self.changes)
     }
 
     /// The reactor's connection telemetry (also surfaced in `stats`
@@ -978,19 +996,24 @@ impl Durability {
 /// and with it the channel), then writes a final checkpoint and returns
 /// the engine to [`ServerHandle::shutdown`].  Each command carries a
 /// [`Responder`] that formats the response and delivers it to the
-/// requesting connection.  Between commands the thread wakes on a
-/// durability timer to flush journal writes and cut checkpoints.
+/// requesting connection.  A command that can change state bumps
+/// `changes` after its reply is handed off.  Between commands the thread
+/// wakes on a durability timer to flush journal writes and cut
+/// checkpoints.
 fn run_engine(
     mut engine: StreamingEngine,
     queue: Arc<EngineQueue<EngineCommand>>,
     mut durability: Durability,
+    changes: &ChangeWatch,
 ) -> StreamingEngine {
     loop {
         match queue.recv(durability.tick_timeout()) {
             RecvOutcome::TimedOut => durability.tick(&engine),
             RecvOutcome::Closed => break,
             RecvOutcome::Item(entry) => {
-                process_entry(&mut engine, &mut durability, &queue, entry);
+                if process_entry(&mut engine, &mut durability, &queue, entry) {
+                    changes.bump();
+                }
                 durability.tick(&engine);
             }
         }
@@ -1002,14 +1025,17 @@ fn run_engine(
 /// Serves one dequeued command: refuse it if its deadline budget expired
 /// in the queue, batch-absorb when it is a `shard-push` (draining every
 /// other queued push so the whole backlog merges in one pass), and feed
-/// the observed service time back into the queue's backoff hint.
+/// the observed service time back into the queue's backoff hint.  True
+/// when the command could have changed counts or the published snapshot.
 fn process_entry(
     engine: &mut StreamingEngine,
     durability: &mut Durability,
     queue: &EngineQueue<EngineCommand>,
     entry: QueueEntry<EngineCommand>,
-) {
-    let Some(command) = refuse_if_expired(entry) else { return };
+) -> bool {
+    let Some(command) = refuse_if_expired(entry) else { return false };
+    let mutates =
+        !matches!(command, EngineCommand::Stats { .. } | EngineCommand::ExportShard { .. });
     let started = Instant::now();
     if matches!(command, EngineCommand::AbsorbShard { .. }) {
         let mut batch = vec![command];
@@ -1024,6 +1050,7 @@ fn process_entry(
         handle_command(engine, durability, command);
     }
     queue.note_service_time(started.elapsed());
+    mutates
 }
 
 /// Enforces a queued command's `deadline_ms` budget at dequeue time: an

@@ -1,0 +1,217 @@
+//! Fabric propagation is event-driven: an acknowledged ingest is pushed at
+//! once, and a published snapshot is offered to replicas at once.
+//!
+//! Every fabric here runs its push and sync timers at 30 s, so no timer
+//! can explain a delivery inside the 2 s budgets below; only the change
+//! watch can.  The coordinator refits on every absorbed tuple (`every=1`),
+//! so each applied push publishes exactly one snapshot and the
+//! coordinator's refit counter counts the pushes it absorbed.
+
+use pka::contingency::{Assignment, Schema};
+use pka::core::{Acquisition, AcquisitionConfig};
+use pka::fabric::{
+    Coordinator, CoordinatorConfig, IngestNode, IngestNodeConfig, Replica, ReplicaConfig,
+    RetryPolicy,
+};
+use pka::maxent::ConvergenceCriteria;
+use pka::serve::protocol::object;
+use pka::serve::{LineClient, QueryAnswer, ServeConfig};
+use pka::stream::{CountShard, RefreshPolicy, StreamConfig};
+use serde::Value;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Push and sync interval: long enough that only a change can deliver.
+const TIMER: Duration = Duration::from_secs(30);
+/// How long a batch may take from acknowledgement to a replica answer.
+const BUDGET: Duration = Duration::from_secs(2);
+
+fn schema() -> Arc<Schema> {
+    Schema::uniform(&[3, 2, 2]).unwrap().into_shared()
+}
+
+/// Deterministic correlated rows: attr1 follows attr0's parity, attr2
+/// cycles slowly.
+fn rows(offset: usize, n: usize) -> Vec<Vec<usize>> {
+    (offset..offset + n)
+        .map(|k| {
+            let a = k % 3;
+            let b = if k % 7 == 0 { 1 - (a % 2) } else { a % 2 };
+            vec![a, b, (k / 5) % 2]
+        })
+        .collect()
+}
+
+/// Tight enough that warm coordinator refits and a cold one-shot fit
+/// agree far below the 1e-9 assertions.
+fn tight_acquisition() -> AcquisitionConfig {
+    AcquisitionConfig::new().with_convergence(
+        ConvergenceCriteria::new().with_tolerance(1e-13).with_max_iterations(5000),
+    )
+}
+
+fn start_coordinator(replica: &str, sync_interval: Duration) -> Coordinator {
+    let stream = StreamConfig::new()
+        .with_policy(RefreshPolicy::EveryNTuples(1))
+        .with_acquisition(tight_acquisition());
+    let config = CoordinatorConfig::new()
+        .with_serve(ServeConfig::new().with_stream(stream))
+        .with_replica(replica)
+        .with_sync_interval(sync_interval)
+        .with_retry(RetryPolicy::fast());
+    Coordinator::start(schema(), config).unwrap()
+}
+
+fn start_node(coordinator: &Coordinator) -> IngestNode {
+    let config = IngestNodeConfig::new(coordinator.addr().to_string())
+        .with_serve(ServeConfig::new().with_node_name("node-a"))
+        .with_push_interval(TIMER)
+        .with_retry(RetryPolicy::fast());
+    IngestNode::start(schema(), config).unwrap()
+}
+
+fn start_replica(serve: ServeConfig) -> Replica {
+    Replica::start(schema(), ReplicaConfig::new().with_serve(serve).with_retry(RetryPolicy::fast()))
+        .unwrap()
+}
+
+/// A port nothing listens on right now, for a replica booted later.
+fn unused_port() -> u16 {
+    std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().port()
+}
+
+/// The replica's answer to `P(attr0 = v0)` once it covers `observations`
+/// tuples; panics if that takes longer than `budget`.
+fn answer_covering(reader: &mut LineClient, observations: u64, budget: Duration) -> QueryAnswer {
+    let started = Instant::now();
+    loop {
+        if let Ok(answer) = reader.query(&[("attr0", "v0")], &[]) {
+            if answer.observations >= observations {
+                assert_eq!(answer.observations, observations, "replica overshot the ingest");
+                return answer;
+            }
+        }
+        assert!(
+            started.elapsed() < budget,
+            "replica did not cover {observations} tuples within {budget:?}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Merged totals are exact and the replica answers like a one-shot fit.
+fn assert_converged(coordinator: &Coordinator, reader: &mut LineClient, all_rows: &[Vec<usize>]) {
+    let total = all_rows.len() as u64;
+    let stats = LineClient::connect(coordinator.addr()).unwrap().stats().unwrap();
+    assert_eq!(stats.total_ingested, total);
+    assert_eq!(stats.remote_tuples, total);
+    assert_eq!(stats.sources.len(), 1);
+    assert_eq!((stats.sources[0].seq, stats.sources[0].tuples), (total, total));
+
+    let mut shard = CountShard::new(schema());
+    shard.record_batch(all_rows).unwrap();
+    let one_shot =
+        Acquisition::new(tight_acquisition()).run(&shard.into_table()).unwrap().knowledge_base;
+    for (attr, card) in [3usize, 2, 2].into_iter().enumerate() {
+        for v in 0..card {
+            let (name, value) = (format!("attr{attr}"), format!("v{v}"));
+            let answer = reader.query(&[(&name, &value)], &[]).unwrap();
+            let expected = one_shot.probability(&Assignment::single(attr, v));
+            assert!(
+                (answer.probability - expected).abs() < 1e-9,
+                "P({name}={value}): replica {} vs one-shot {expected}",
+                answer.probability
+            );
+        }
+    }
+}
+
+#[test]
+fn each_batch_reaches_the_replica_without_waiting_for_a_timer() {
+    let replica = start_replica(ServeConfig::new());
+    let coordinator = start_coordinator(&replica.addr().to_string(), TIMER);
+    let node = start_node(&coordinator);
+    let mut writer = LineClient::connect(node.addr()).unwrap();
+    let mut reader = LineClient::connect(replica.addr()).unwrap();
+
+    let mut all_rows = Vec::new();
+    let mut versions = Vec::new();
+    for batch in 0..5 {
+        let share = rows(batch * 60, 60);
+        writer.ingest(&share).unwrap();
+        all_rows.extend(share);
+        let answer = answer_covering(&mut reader, all_rows.len() as u64, BUDGET);
+        versions.push(answer.snapshot_version);
+    }
+    assert!(versions.windows(2).all(|w| w[0] < w[1]), "versions not monotone: {versions:?}");
+    assert_converged(&coordinator, &mut reader, &all_rows);
+
+    node.shutdown().unwrap();
+    replica.shutdown().unwrap();
+    coordinator.shutdown().unwrap();
+}
+
+#[test]
+fn a_pipelined_burst_coalesces_into_at_most_one_push_per_batch() {
+    let replica = start_replica(ServeConfig::new());
+    let coordinator = start_coordinator(&replica.addr().to_string(), TIMER);
+    let node = start_node(&coordinator);
+    let mut writer = LineClient::connect(node.addr()).unwrap();
+    let mut reader = LineClient::connect(replica.addr()).unwrap();
+    let mut control = LineClient::connect(coordinator.addr()).unwrap();
+    let refits_before = control.stats().unwrap().refits;
+
+    let batches: Vec<Vec<Vec<usize>>> = (0..50).map(|k| rows(k * 8, 8)).collect();
+    let requests: Vec<(&str, Value)> = batches
+        .iter()
+        .map(|batch| {
+            let rows = batch
+                .iter()
+                .map(|row| Value::Array(row.iter().map(|&v| Value::U64(v as u64)).collect()))
+                .collect();
+            ("ingest", object([("rows", Value::Array(rows))]))
+        })
+        .collect();
+    let responses = writer.pipeline(&requests).unwrap();
+    assert!(responses.iter().all(Result::is_ok), "a pipelined ingest failed: {responses:?}");
+    let all_rows: Vec<Vec<usize>> = batches.into_iter().flatten().collect();
+    answer_covering(&mut reader, all_rows.len() as u64, BUDGET);
+
+    // `every=1`: one refit per applied push.  Cumulative shards and one
+    // push in flight mean a burst never costs more pushes than batches.
+    let pushes = control.stats().unwrap().refits - refits_before;
+    assert!((1..=50).contains(&pushes), "{pushes} pushes absorbed for 50 batches");
+    assert_converged(&coordinator, &mut reader, &all_rows);
+
+    node.shutdown().unwrap();
+    replica.shutdown().unwrap();
+    coordinator.shutdown().unwrap();
+}
+
+#[test]
+fn a_replica_booted_after_the_first_publish_converges_on_re_offer() {
+    let port = unused_port();
+    let coordinator = start_coordinator(&format!("127.0.0.1:{port}"), Duration::from_millis(200));
+    let mut writer = LineClient::connect(coordinator.addr()).unwrap();
+    let summary = writer.ingest(&rows(0, 120)).unwrap();
+    assert!(summary.refit_triggered, "every=1 must publish on ingest");
+    let version = coordinator.snapshots().version().unwrap();
+    // Let the publish-triggered offer fail against the empty port; only
+    // the 200 ms re-offer can deliver from here on.
+    std::thread::sleep(Duration::from_millis(300));
+
+    let replica = start_replica(ServeConfig::new().with_port(port));
+    let started = Instant::now();
+    while replica.snapshots().version().unwrap_or(0) < version {
+        assert!(started.elapsed() < BUDGET, "late replica never received a re-offer");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut reader = LineClient::connect(replica.addr()).unwrap();
+    let expected = writer.query(&[("attr0", "v0")], &[]).unwrap();
+    let answer = reader.query(&[("attr0", "v0")], &[]).unwrap();
+    assert_eq!((answer.snapshot_version, answer.observations), (version, 120));
+    assert!((answer.probability - expected.probability).abs() < 1e-12);
+
+    replica.shutdown().unwrap();
+    coordinator.shutdown().unwrap();
+}
