@@ -14,8 +14,8 @@ use pka_datagen::{
     WideExperiment,
 };
 use pka_maxent::{
-    metrics, solver::Solver, ConstraintSet, ConvergenceCriteria, FactorGraph, IncidenceCache,
-    JointDistribution, LogLinearModel, MarginalLattice, SolveReport,
+    is_factored, metrics, solver::Solver, ConstraintSet, ConvergenceCriteria, Evaluator,
+    FactorGraph, IncidenceCache, JointDistribution, LogLinearModel, MarginalLattice, SolveReport,
 };
 use std::sync::Arc;
 
@@ -597,7 +597,10 @@ impl QueryEvalWorkload {
         let counts = synthetic_counts(&schema, 7);
         let table = ContingencyTable::from_counts(Arc::clone(&schema), counts).expect("valid");
         let joint = JointDistribution::empirical(&table);
-        let lattice = MarginalLattice::build(&joint, pka_maxent::DEFAULT_LATTICE_ORDER);
+        let lattice = MarginalLattice::build(
+            &Evaluator::Dense(joint.clone()),
+            pka_maxent::DEFAULT_LATTICE_ORDER,
+        );
 
         // Every first- and second-order marginal cell.
         let mut marginals = Vec::new();
@@ -863,16 +866,22 @@ impl WideWorkload {
             .expect("factored fit succeeds");
         assert!(report.converged, "{label}: factored kernel must converge");
         let graph = FactorGraph::from_model(&model);
-        let lattice = MarginalLattice::build_factored(&graph, pka_maxent::DEFAULT_LATTICE_ORDER);
+        let lattice = MarginalLattice::build(
+            &Evaluator::Factored(graph.clone()),
+            pka_maxent::DEFAULT_LATTICE_ORDER,
+        );
 
         // The dense side only exists below the default ceiling (all sizes
         // here except 2^20), fitted by the CSR kernel as before this PR.
-        let dense = (schema.cell_count() <= pka_maxent::DEFAULT_DENSE_CEILING).then(|| {
+        let dense = (!is_factored(&schema, pka_maxent::DEFAULT_DENSE_CEILING)).then(|| {
             let (dense_model, dense_report) =
                 Solver::new(criteria).fit(&constraints).expect("dense fit succeeds");
             assert!(dense_report.converged, "{label}: dense kernel must converge");
             let joint = dense_model.to_joint();
-            let lattice = MarginalLattice::build(&joint, pka_maxent::DEFAULT_LATTICE_ORDER);
+            let lattice = MarginalLattice::build(
+                &Evaluator::Dense(joint.clone()),
+                pka_maxent::DEFAULT_LATTICE_ORDER,
+            );
             DenseSide { model: dense_model, joint, lattice }
         });
 

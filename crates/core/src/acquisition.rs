@@ -7,7 +7,7 @@ use crate::knowledge_base::KnowledgeBase;
 use crate::trace::{AcquisitionTrace, CellEvaluation, RoundTrace};
 use crate::Result;
 use pka_contingency::{Assignment, ContingencyTable, VarSet};
-use pka_maxent::{ConstraintSet, FactorGraph, IncidenceCache, LogLinearModel, Solver};
+use pka_maxent::{ConstraintSet, Evaluator, IncidenceCache, LogLinearModel, Solver};
 use pka_significance::{CandidateCell, MessageLengthTest, RangeContext};
 
 /// Factors of a warm-start seed model are raised to at least this value so
@@ -169,9 +169,6 @@ impl Acquisition {
         let solver =
             Solver::new(self.config.convergence).with_dense_ceiling(self.config.dense_ceiling);
         let test = MessageLengthTest::new(self.config.priors);
-        // Above the ceiling, candidate scoring never scatters the joint:
-        // each candidate varset gets one eliminated marginal per round.
-        let score_factored = schema.cell_count() > self.config.dense_ceiling;
 
         // Step 1: first-order marginals are always constraints (Eq. 48) and
         // any prior knowledge is added on top; the resulting maximum-entropy
@@ -220,35 +217,26 @@ impl Acquisition {
                 let known_higher = constraints.higher_order_assignments();
                 let range_ctx = RangeContext::new(table, &known_higher, &found_at_order);
 
-                // Below the ceiling: one dense scatter of the model per
-                // round; every candidate is then scored by a stride walk over
-                // its covered cells instead of an O(factors) product per cell
-                // per candidate.  Above it: no scatter at all — candidates
-                // read their mass out of an eliminated marginal per varset.
-                let dense = if score_factored { Vec::new() } else { model.dense_probabilities() };
-                let graph = score_factored.then(|| FactorGraph::from_model(&model));
+                // One evaluator per round; every candidate varset then gets
+                // one marginal table — a pass over the model's dense image
+                // below the ceiling, an elimination above it.
+                let evaluator = Evaluator::unnormalized(&model, self.config.dense_ceiling);
 
                 // Score every unconstrained cell at this order.
                 let mut evaluations: Vec<CellEvaluation> = Vec::new();
                 let mut best: Option<(usize, f64)> = None;
                 for &vars in &candidate_sets {
-                    // `FactorGraph::marginal` tables and `configurations`
-                    // share the same row-major layout, so the enumeration
-                    // index doubles as the table index.
-                    let marginal = graph.as_ref().map(|g| g.marginal(vars));
+                    // Marginal tables and `configurations` share the same
+                    // row-major layout, so the enumeration index doubles as
+                    // the table index.
+                    let marginal = evaluator.marginal(vars);
                     for (config_index, values) in schema.configurations(vars).enumerate() {
                         let assignment = Assignment::new(vars, values);
                         if constraints.contains(&assignment) {
                             continue;
                         }
                         let observed = table.count_matching(&assignment);
-                        let predicted_p = match &marginal {
-                            Some(m) => m[config_index],
-                            None => {
-                                schema.matching_cells(&assignment).map(|i| dense[i]).sum::<f64>()
-                            }
-                        }
-                        .clamp(0.0, 1.0);
+                        let predicted_p = marginal[config_index].clamp(0.0, 1.0);
                         let range = range_ctx.range_of(&assignment);
                         let lengths = test.evaluate(
                             &CandidateCell {

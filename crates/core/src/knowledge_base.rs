@@ -1,15 +1,16 @@
 //! The product of acquisition: a compact probabilistic knowledge base.
 
 use crate::error::CoreError;
-use crate::query::{Query, QueryResult};
+use crate::query::{bayes, Query, QueryResult};
 use crate::Result;
 use pka_contingency::{Assignment, Schema};
 use pka_maxent::{
-    Constraint, ConstraintSet, FactorGraph, JointDistribution, LogLinearModel, MarginalLattice,
-    MaxEntError,
+    Constraint, ConstraintSet, EvalPath, Evaluator, FactorGraph, JointDistribution, LogLinearModel,
+    MarginalLattice, DEFAULT_DENSE_CEILING,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 
 /// A probabilistic knowledge base: the significant joint probabilities found
 /// in the data plus the fitted maximum-entropy model that ties them
@@ -20,15 +21,15 @@ use std::sync::Arc;
 /// conditional probabilities can be calculated from this information as
 /// required."
 ///
-/// A knowledge base may additionally carry a [`MarginalLattice`] — every
-/// marginal table up to a cutoff order, materialised once from the model's
-/// joint (see [`KnowledgeBase::with_lattice`]).  With a lattice attached,
-/// [`KnowledgeBase::probability`] answers covered assignments with one
-/// table lookup instead of a sum over the joint's cells; without one (or
-/// for varsets above the cutoff) it falls back to the model evaluation
-/// unchanged.  The lattice is **derived state**: it is skipped by
-/// serialisation and ignored by equality, exactly like the model's factor
-/// index.
+/// Every marginal probability resolves through one path
+/// ([`KnowledgeBase::evaluate`]): a lookup in the [`MarginalLattice`] when
+/// one is materialised and covers the assignment's variable set, otherwise
+/// the model's [`Evaluator`] — its dense joint at or below the dense
+/// ceiling, its factor graph above.  [`KnowledgeBase::with_evaluation`]
+/// builds both up front (what a published snapshot does); a knowledge base
+/// without them builds the default-ceiling evaluator on first use.  Both
+/// are **derived state**: skipped by serialisation and ignored by
+/// equality, exactly like the model's factor index.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KnowledgeBase {
     schema: Arc<Schema>,
@@ -38,12 +39,12 @@ pub struct KnowledgeBase {
     #[serde(skip)]
     lattice: Option<Arc<MarginalLattice>>,
     #[serde(skip)]
-    graph: Option<Arc<FactorGraph>>,
+    evaluator: OnceLock<Arc<Evaluator>>,
 }
 
-/// Equality ignores the lattice: it is derived from the model, so two
-/// knowledge bases differing only in whether the cache is materialised
-/// answer every query identically.
+/// Equality ignores the lattice and evaluator: they are derived from the
+/// model, so two knowledge bases differing only in whether they are
+/// materialised answer every query alike.
 impl PartialEq for KnowledgeBase {
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema
@@ -67,65 +68,52 @@ impl KnowledgeBase {
                 reason: "constraints, model and knowledge base must share one schema".to_string(),
             });
         }
-        Ok(Self { schema, constraints, model, sample_size, lattice: None, graph: None })
+        Ok(Self {
+            schema,
+            constraints,
+            model,
+            sample_size,
+            lattice: None,
+            evaluator: OnceLock::new(),
+        })
     }
 
-    /// Returns the knowledge base with a marginal lattice up to `max_order`
-    /// materialised from its model — one dense-joint build plus the lattice
-    /// summation, after which every covered query is a table lookup.
-    pub fn with_lattice(mut self, max_order: usize) -> Self {
-        let joint = self.model.to_joint();
-        self.lattice = Some(Arc::new(MarginalLattice::build(&joint, max_order)));
+    /// Returns the knowledge base with its evaluator chosen for
+    /// `dense_ceiling` ([`Evaluator::new`]) and a marginal lattice up to
+    /// `lattice_order` built from it, so every covered query is a table
+    /// lookup and every other one takes the evaluator's path.
+    pub fn with_evaluation(mut self, lattice_order: usize, dense_ceiling: usize) -> Self {
+        let evaluator = Evaluator::new(&self.model, dense_ceiling);
+        self.lattice = Some(Arc::new(MarginalLattice::build(&evaluator, lattice_order)));
+        self.evaluator = OnceLock::from(Arc::new(evaluator));
         self
     }
 
-    /// Returns the knowledge base with the same lattice built **factored**:
-    /// every table is produced by variable elimination over the model's
-    /// factor graph, so the dense joint is never allocated.  The factor
-    /// graph itself is cached, and uncovered assignments thereafter resolve
-    /// through it instead of the model's dense stride walk.
-    pub fn with_factored_lattice(mut self, max_order: usize) -> Self {
-        let graph = Arc::new(FactorGraph::from_model(&self.model));
-        self.lattice = Some(Arc::new(MarginalLattice::build_factored(&graph, max_order)));
-        self.graph = Some(graph);
-        self
-    }
-
-    /// Attaches an already-built lattice (e.g. the one a snapshot
-    /// materialised from this knowledge base's own joint, shared by `Arc`).
-    /// The lattice must be over the same schema.
-    pub fn attach_lattice(&mut self, lattice: Arc<MarginalLattice>) -> Result<()> {
-        if lattice.schema() != self.schema.as_ref() {
-            return Err(CoreError::InvalidInput {
-                reason: "lattice schema differs from the knowledge base schema".to_string(),
-            });
-        }
-        self.lattice = Some(lattice);
-        Ok(())
-    }
-
-    /// Attaches an already-built factor graph (e.g. the one a snapshot
-    /// shares between its lattice build and its query fallback).  With a
-    /// graph attached, assignments the lattice does not cover are answered
-    /// by variable elimination rather than the model's dense stride walk.
+    /// Makes an already-built factor graph of this knowledge base's model
+    /// its evaluator, so assignments the lattice does not cover are
+    /// answered by variable elimination.  The graph must be over the same
+    /// schema.
     pub fn attach_factor_graph(&mut self, graph: Arc<FactorGraph>) -> Result<()> {
         if graph.schema() != self.schema.as_ref() {
             return Err(CoreError::InvalidInput {
                 reason: "factor graph schema differs from the knowledge base schema".to_string(),
             });
         }
-        self.graph = Some(graph);
+        let graph = Arc::unwrap_or_clone(graph);
+        self.evaluator = OnceLock::from(Arc::new(Evaluator::Factored(graph)));
         Ok(())
     }
 
-    /// The attached marginal lattice, if one has been materialised.
-    pub fn lattice(&self) -> Option<&Arc<MarginalLattice>> {
-        self.lattice.as_ref()
+    /// The materialised marginal lattice, if any.
+    pub fn lattice(&self) -> Option<&MarginalLattice> {
+        self.lattice.as_deref()
     }
 
-    /// The cached factor graph, if one has been attached or built.
-    pub fn cached_factor_graph(&self) -> Option<&Arc<FactorGraph>> {
-        self.graph.as_ref()
+    /// The model's evaluator: the one built by
+    /// [`KnowledgeBase::with_evaluation`] or attached, else the
+    /// [`DEFAULT_DENSE_CEILING`] evaluator, built on first use.
+    pub fn evaluator(&self) -> &Evaluator {
+        self.evaluator.get_or_init(|| Arc::new(Evaluator::new(&self.model, DEFAULT_DENSE_CEILING)))
     }
 
     /// The attribute schema.
@@ -159,42 +147,28 @@ impl KnowledgeBase {
         self.sample_size
     }
 
-    /// Probability of a (partial) assignment under the model: one lattice
-    /// lookup when a lattice is attached and covers the assignment's
-    /// variable set; otherwise variable elimination over the cached factor
-    /// graph when one is attached, and the model's dense stride walk as the
-    /// last resort.
+    /// Probability of a (partial) assignment under the model, and the path
+    /// that answered it: one lattice lookup when the lattice covers the
+    /// assignment's variable set, the evaluator otherwise.
+    #[inline]
+    pub fn evaluate(&self, assignment: &Assignment) -> (f64, EvalPath) {
+        if let Some(p) = self.lattice.as_ref().and_then(|lattice| lattice.probability(assignment)) {
+            return (p, EvalPath::Lattice);
+        }
+        self.evaluator().probability(assignment)
+    }
+
+    /// Probability of a (partial) assignment under the model (see
+    /// [`KnowledgeBase::evaluate`]).
     pub fn probability(&self, assignment: &Assignment) -> f64 {
-        if let Some(lattice) = &self.lattice {
-            if let Some(p) = lattice.probability(assignment) {
-                return p;
-            }
-        }
-        if let Some(graph) = &self.graph {
-            return graph.probability(assignment);
-        }
-        self.model.probability(assignment)
+        self.evaluate(assignment).0
     }
 
     /// Conditional probability `P(target | evidence)` under the model — the
-    /// memo's `P(A | B, C) = P(A, B, C) / P(B, C)`.  Both the numerator and
-    /// the denominator resolve through [`KnowledgeBase::probability`], so
-    /// an attached lattice serves conditionals too.
+    /// memo's `P(A | B, C) = P(A, B, C) / P(B, C)`, by [`bayes`] over
+    /// [`KnowledgeBase::probability`].
     pub fn conditional(&self, target: &Assignment, evidence: &Assignment) -> Result<f64> {
-        if !target.compatible_with(evidence) {
-            return Err(CoreError::MaxEnt(MaxEntError::InfeasibleConstraints {
-                reason: "target and evidence assign different values to a shared attribute"
-                    .to_string(),
-            }));
-        }
-        let denominator = self.probability(evidence);
-        if denominator <= 0.0 {
-            return Err(CoreError::MaxEnt(MaxEntError::ZeroProbabilityEvidence {
-                evidence: evidence.describe(&self.schema),
-            }));
-        }
-        let merged = target.merge(evidence).expect("compatibility checked above");
-        Ok(self.probability(&merged) / denominator)
+        Ok(bayes(&self.schema, target, evidence, |a| self.probability(a))?.probability)
     }
 
     /// Evaluates a [`Query`].
@@ -219,10 +193,13 @@ impl KnowledgeBase {
         self.model.to_joint()
     }
 
-    /// The factored (Appendix-B) view of the model for query evaluation
-    /// without materialising the joint.
-    pub fn factor_graph(&self) -> FactorGraph {
-        FactorGraph::from_model(&self.model)
+    /// The factored (Appendix-B) view of the model: the evaluator's own
+    /// graph when it is factored, a fresh one otherwise.
+    pub fn factor_graph(&self) -> Cow<'_, FactorGraph> {
+        match self.evaluator().graph() {
+            Some(graph) => Cow::Borrowed(graph),
+            None => Cow::Owned(FactorGraph::from_model(&self.model)),
+        }
     }
 
     /// Entropy (in nats) of the modelled joint distribution.
@@ -324,19 +301,22 @@ mod tests {
     #[test]
     fn lattice_answers_match_the_model() {
         let kb = sample_kb();
-        let fast = kb.clone().with_lattice(2);
-        assert!(fast.lattice().is_some());
+        let fast = kb.clone().with_evaluation(2, DEFAULT_DENSE_CEILING);
+        assert!(fast.lattice().is_some() && kb.lattice().is_none());
         assert_eq!(fast, kb, "the lattice is derived state, not identity");
         // Covered orders answer from the lattice, order 3 falls back to the
-        // model — both must agree with the plain evaluation to fp noise.
+        // evaluator — both must agree with the model to fp noise.
         let probes = [
-            Assignment::empty(),
-            Assignment::single(1, 0),
-            Assignment::from_pairs([(0, 0), (2, 1)]),
-            Assignment::from_pairs([(0, 0), (1, 0), (2, 1)]),
+            (Assignment::empty(), EvalPath::Lattice),
+            (Assignment::single(1, 0), EvalPath::Lattice),
+            (Assignment::from_pairs([(0, 0), (2, 1)]), EvalPath::Lattice),
+            (Assignment::from_pairs([(0, 0), (1, 0), (2, 1)]), EvalPath::Dense),
         ];
-        for a in &probes {
-            assert!((fast.probability(a) - kb.probability(a)).abs() < 1e-12);
+        for (a, path) in &probes {
+            let (p, answered_by) = fast.evaluate(a);
+            assert_eq!(answered_by, *path, "probe {a:?}");
+            assert!((p - kb.model().probability(a)).abs() < 1e-12);
+            assert_eq!(kb.evaluate(a).1, EvalPath::Dense, "no lattice: the evaluator answers");
         }
         let target = Assignment::single(1, 0);
         let evidence = Assignment::single(0, 0);
@@ -348,18 +328,19 @@ mod tests {
     }
 
     #[test]
-    fn factored_lattice_answers_match_the_dense_lattice() {
+    fn factored_evaluation_matches_the_dense_one() {
         let kb = sample_kb();
-        let dense = kb.clone().with_lattice(2);
-        let factored = kb.clone().with_factored_lattice(2);
-        assert!(factored.cached_factor_graph().is_some());
+        let dense = kb.clone().with_evaluation(2, DEFAULT_DENSE_CEILING);
+        let factored = kb.clone().with_evaluation(2, 0);
+        assert!(factored.evaluator().graph().is_some());
+        assert!(matches!(factored.factor_graph(), Cow::Borrowed(_)));
         assert_eq!(factored, kb, "derived state does not change identity");
         let probes = [
             Assignment::empty(),
             Assignment::single(1, 0),
             Assignment::from_pairs([(0, 0), (2, 1)]),
             // Order 3 misses the lattice: the factored KB answers it by
-            // elimination, the dense one by the model's stride walk.
+            // elimination, the dense one by the joint's stride walk.
             Assignment::from_pairs([(0, 0), (1, 0), (2, 1)]),
         ];
         for a in &probes {
@@ -368,6 +349,9 @@ mod tests {
                 "probe {a:?} diverged"
             );
         }
+        let order3 = &probes[3];
+        assert_eq!(factored.evaluate(order3).1, EvalPath::Factored);
+        assert_eq!(dense.evaluate(order3).1, EvalPath::Dense);
     }
 
     #[test]
@@ -377,22 +361,10 @@ mod tests {
         let foreign_model = LogLinearModel::uniform(foreign);
         let graph = Arc::new(FactorGraph::from_model(&foreign_model));
         assert!(kb.attach_factor_graph(graph).is_err());
-        let own = Arc::new(kb.factor_graph());
-        kb.attach_factor_graph(Arc::clone(&own)).unwrap();
-        assert!(Arc::ptr_eq(kb.cached_factor_graph().unwrap(), &own));
-    }
-
-    #[test]
-    fn attach_lattice_rejects_a_foreign_schema() {
-        let mut kb = sample_kb();
-        let foreign = Schema::uniform(&[2, 2]).unwrap().into_shared();
-        let joint = pka_maxent::JointDistribution::uniform(foreign);
-        let lattice = std::sync::Arc::new(pka_maxent::MarginalLattice::build(&joint, 2));
-        assert!(kb.attach_lattice(lattice).is_err());
-        // The right schema attaches fine and is shared by Arc.
-        let own = std::sync::Arc::new(pka_maxent::MarginalLattice::build(&kb.joint(), 2));
-        kb.attach_lattice(std::sync::Arc::clone(&own)).unwrap();
-        assert!(std::sync::Arc::ptr_eq(kb.lattice().unwrap(), &own));
+        let own = Arc::new(kb.factor_graph().into_owned());
+        kb.attach_factor_graph(own).unwrap();
+        let order3 = Assignment::from_pairs([(0, 0), (1, 0), (2, 1)]);
+        assert_eq!(kb.evaluate(&order3).1, EvalPath::Factored);
     }
 
     #[test]

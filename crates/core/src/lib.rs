@@ -37,7 +37,7 @@ pub use acquisition::{Acquisition, AcquisitionOutcome};
 pub use config::AcquisitionConfig;
 pub use error::CoreError;
 pub use knowledge_base::KnowledgeBase;
-pub use query::{Query, QueryResult};
+pub use query::{bayes, Bayes, Query, QueryResult};
 pub use rules::{induce_rules, Rule, RuleInductionConfig};
 pub use trace::{AcquisitionTrace, CellEvaluation, RoundTrace};
 

@@ -3,6 +3,10 @@
 //! The memo's motivating output is the ability to compute
 //! `P(A | B, C) = P(A, B, C) / P(B, C)` for *any* proposition and *any*
 //! combination of evidence, directly from the stored joint probabilities.
+//! [`bayes`] is that identity, written once: every conditional the system
+//! answers — [`KnowledgeBase::conditional`], [`Query::evaluate`], the query
+//! server and its explanations — goes through it, each supplying the
+//! marginal probabilities from its own (possibly instrumented) source.
 //! [`Query`] packages one such question; [`QueryResult`] is the answer plus
 //! the intermediate quantities useful for explanation.
 
@@ -11,6 +15,49 @@ use crate::knowledge_base::KnowledgeBase;
 use crate::Result;
 use pka_contingency::{Assignment, Schema};
 use serde::{Deserialize, Serialize};
+
+/// The quantities of one application of Bayes' identity.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Bayes {
+    /// `P(target | evidence)`.
+    pub probability: f64,
+    /// `P(target, evidence)`.
+    pub joint_probability: f64,
+    /// `P(evidence)`; exactly 1 for empty evidence.
+    pub evidence_probability: f64,
+}
+
+/// `P(target | evidence) = P(target, evidence) / P(evidence)`, the memo's
+/// `P(A | B, C) = P(A, B, C) / P(B, C)`, with every marginal drawn from
+/// `probability`.
+///
+/// Incompatible assignments (different values for a shared attribute) are
+/// [`CoreError::InvalidInput`]; evidence of probability zero is
+/// [`pka_maxent::MaxEntError::ZeroProbabilityEvidence`].  Empty evidence is
+/// certain: its probability is taken as exactly 1 without calling
+/// `probability`, so a marginal query costs one evaluation.
+pub fn bayes(
+    schema: &Schema,
+    target: &Assignment,
+    evidence: &Assignment,
+    probability: impl Fn(&Assignment) -> f64,
+) -> Result<Bayes> {
+    let merged = target.merge(evidence).ok_or_else(|| CoreError::InvalidInput {
+        reason: "target and evidence assign different values to a shared attribute".to_string(),
+    })?;
+    let evidence_probability = if evidence.vars().is_empty() { 1.0 } else { probability(evidence) };
+    if evidence_probability <= 0.0 {
+        return Err(CoreError::MaxEnt(pka_maxent::MaxEntError::ZeroProbabilityEvidence {
+            evidence: evidence.describe(schema),
+        }));
+    }
+    let joint_probability = probability(&merged);
+    Ok(Bayes {
+        probability: joint_probability / evidence_probability,
+        joint_probability,
+        evidence_probability,
+    })
+}
 
 /// A conditional-probability question: `P(target | evidence)`.
 ///
@@ -54,28 +101,23 @@ impl Query {
 
     /// Evaluates the query against a knowledge base.
     pub fn evaluate(&self, kb: &KnowledgeBase) -> Result<QueryResult> {
-        if !self.target.compatible_with(&self.evidence) {
-            return Err(CoreError::InvalidInput {
-                reason: "target and evidence assign different values to a shared attribute"
-                    .to_string(),
-            });
-        }
-        let joint_assignment =
-            self.target.merge(&self.evidence).expect("compatibility checked above");
-        let evidence_probability = kb.probability(&self.evidence);
-        if evidence_probability <= 0.0 {
-            return Err(CoreError::MaxEnt(pka_maxent::MaxEntError::ZeroProbabilityEvidence {
-                evidence: self.evidence.describe(kb.schema()),
-            }));
-        }
-        let joint_probability = kb.probability(&joint_assignment);
-        let prior = kb.probability(&self.target);
+        self.clone().answer(kb.schema(), |a| kb.probability(a))
+    }
+
+    /// Answers the query by [`bayes`], drawing every marginal — the prior
+    /// included — from `probability`.
+    pub fn answer(
+        self,
+        schema: &Schema,
+        probability: impl Fn(&Assignment) -> f64,
+    ) -> Result<QueryResult> {
+        let answer = bayes(schema, &self.target, &self.evidence, &probability)?;
         Ok(QueryResult {
-            query: self.clone(),
-            probability: joint_probability / evidence_probability,
-            joint_probability,
-            evidence_probability,
-            prior_probability: prior,
+            probability: answer.probability,
+            joint_probability: answer.joint_probability,
+            evidence_probability: answer.evidence_probability,
+            prior_probability: probability(&self.target),
+            query: self,
         })
     }
 

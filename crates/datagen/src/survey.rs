@@ -112,6 +112,11 @@ mod tests {
         assert_eq!(s.attribute(CANCER).unwrap().name(), "cancer");
     }
 
+    /// `P(target | evidence)` under the ground truth, by Bayes' identity.
+    fn given(joint: &JointDistribution, target: &Assignment, evidence: &Assignment) -> f64 {
+        joint.probability(&target.merge(evidence).unwrap()) / joint.probability(evidence)
+    }
+
     #[test]
     fn ground_truth_is_a_distribution() {
         let joint = ground_truth();
@@ -124,27 +129,23 @@ mod tests {
         let joint = ground_truth();
         // Smokers have a higher cancer probability than the population.
         let p_cancer = joint.probability(&Assignment::single(CANCER, 0));
-        let p_cancer_given_smoker = joint
-            .conditional(&Assignment::single(CANCER, 0), &Assignment::single(SMOKING, 0))
-            .unwrap();
+        let p_cancer_given_smoker =
+            given(&joint, &Assignment::single(CANCER, 0), &Assignment::single(SMOKING, 0));
         assert!(
             p_cancer_given_smoker > 1.35 * p_cancer,
             "expected strong lift, got {p_cancer_given_smoker} vs {p_cancer}"
         );
         // Exercise depends on age.
-        let p_reg_young = joint
-            .conditional(&Assignment::single(EXERCISE, 0), &Assignment::single(AGE, 0))
-            .unwrap();
-        let p_reg_old = joint
-            .conditional(&Assignment::single(EXERCISE, 0), &Assignment::single(AGE, 2))
-            .unwrap();
+        let p_reg_young =
+            given(&joint, &Assignment::single(EXERCISE, 0), &Assignment::single(AGE, 0));
+        let p_reg_old =
+            given(&joint, &Assignment::single(EXERCISE, 0), &Assignment::single(AGE, 2));
         assert!(p_reg_young > p_reg_old);
         // Cancer is (conditionally) unrelated to exercise given nothing else:
         // the model has no factor linking them, so the lift is modest
         // compared to the smoking lift.
-        let p_cancer_given_none = joint
-            .conditional(&Assignment::single(CANCER, 0), &Assignment::single(EXERCISE, 2))
-            .unwrap();
+        let p_cancer_given_none =
+            given(&joint, &Assignment::single(CANCER, 0), &Assignment::single(EXERCISE, 2));
         assert!((p_cancer_given_none / p_cancer) < 1.4);
     }
 
@@ -154,18 +155,15 @@ mod tests {
         // P(condition | smoker, exposed) should exceed what the pairwise
         // effects alone would predict; at minimum it must exceed both
         // single-condition conditionals.
-        let both = joint
-            .conditional(
-                &Assignment::single(CONDITION, 0),
-                &Assignment::from_pairs([(SMOKING, 0), (EXPOSURE, 0)]),
-            )
-            .unwrap();
-        let smoker_only = joint
-            .conditional(&Assignment::single(CONDITION, 0), &Assignment::single(SMOKING, 0))
-            .unwrap();
-        let exposed_only = joint
-            .conditional(&Assignment::single(CONDITION, 0), &Assignment::single(EXPOSURE, 0))
-            .unwrap();
+        let both = given(
+            &joint,
+            &Assignment::single(CONDITION, 0),
+            &Assignment::from_pairs([(SMOKING, 0), (EXPOSURE, 0)]),
+        );
+        let smoker_only =
+            given(&joint, &Assignment::single(CONDITION, 0), &Assignment::single(SMOKING, 0));
+        let exposed_only =
+            given(&joint, &Assignment::single(CONDITION, 0), &Assignment::single(EXPOSURE, 0));
         assert!(both > smoker_only && both > exposed_only);
     }
 

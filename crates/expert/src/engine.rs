@@ -101,11 +101,7 @@ impl ExpertSystem {
         let mut hypotheses = Vec::with_capacity(card);
         for value in 0..card {
             let target = Assignment::single(attribute, value);
-            let posterior = if relevant_evidence.vars().is_empty() {
-                self.kb.probability(&target)
-            } else {
-                self.kb.conditional(&target, &relevant_evidence)?
-            };
+            let posterior = self.kb.conditional(&target, &relevant_evidence)?;
             let prior = self.kb.probability(&target);
             hypotheses.push(Hypothesis { attribute, value, posterior, prior });
         }

@@ -6,7 +6,7 @@
 //! piece of evidence was taken into account.
 
 use pka_contingency::{Assignment, Schema};
-use pka_core::{KnowledgeBase, Result};
+use pka_core::{bayes, KnowledgeBase, Result};
 use serde::{Deserialize, Serialize};
 
 /// One step of an explanation: the belief in the target after conditioning
@@ -94,16 +94,30 @@ pub fn explain_query(
     target: &Assignment,
     evidence: &Assignment,
 ) -> Result<Explanation> {
-    let prior = kb.probability(target);
-    let posterior =
-        if evidence.vars().is_empty() { prior } else { kb.conditional(target, evidence)? };
+    explain_query_with(kb, target, evidence, |a| kb.probability(a))
+}
+
+/// [`explain_query`] with every marginal probability drawn from
+/// `probability` — how a server routes an explanation through its own
+/// instrumented evaluation.  The posterior and every step are [`bayes`]
+/// over it, so the posterior is bit for bit what a query over the same
+/// source answers.
+pub fn explain_query_with(
+    kb: &KnowledgeBase,
+    target: &Assignment,
+    evidence: &Assignment,
+    probability: impl Fn(&Assignment) -> f64,
+) -> Result<Explanation> {
+    let schema = kb.schema();
+    let prior = probability(target);
+    let posterior = bayes(schema, target, evidence, &probability)?.probability;
 
     // Belief trajectory: add evidence facts one at a time.
     let mut steps = Vec::new();
     let mut so_far = Assignment::empty();
     for (attr, value) in evidence.pairs() {
         so_far = so_far.with(attr, value);
-        let probability = kb.conditional(target, &so_far)?;
+        let probability = bayes(schema, target, &so_far, &probability)?.probability;
         steps.push(ExplanationStep { evidence_so_far: so_far.clone(), probability });
     }
 

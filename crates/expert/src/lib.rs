@@ -27,5 +27,5 @@ pub mod rulebase;
 
 pub use engine::{ExpertSystem, Hypothesis};
 pub use evidence::Evidence;
-pub use explain::{explain_query, Explanation};
+pub use explain::{explain_query, explain_query_with, Explanation};
 pub use rulebase::{FiredRule, RuleBase};

@@ -3,17 +3,35 @@
 //! as the mini-cluster smoke test).
 //!
 //! ```text
-//! pka-fabric coordinator [--port N] [--host H] SCHEMA [--policy P]
-//!                        [--replica ADDR]... [--pull ADDR]...
+//! pka-fabric coordinator NODE-FLAGS [--replica ADDR]... [--pull ADDR]...
 //!                        [--sync-interval-ms N]
-//! pka-fabric ingest-node [--port N] [--host H] SCHEMA --coordinator ADDR
-//!                        [--name NAME] [--push-interval-ms N]
-//! pka-fabric replica     [--port N] [--host H] SCHEMA [--coordinator ADDR]
+//! pka-fabric ingest-node NODE-FLAGS --coordinator ADDR [--name NAME]
+//!                        [--push-interval-ms N]
+//! pka-fabric replica     NODE-FLAGS [--coordinator ADDR]
 //!                        [--pull-interval-ms N]
 //! pka-fabric probe --coordinator ADDR [--replica ADDR]...
 //!                  [--ingest ADDR]... [--rows N] [--idle-hold N]
 //!                  [--storm-requests N] [--shutdown]
 //! ```
+//!
+//! `NODE-FLAGS` are the node flags `pka-serve` takes, parsed by the same
+//! `pka_serve::cli` into the same configuration:
+//!
+//! * schema: `--schema name=v1|v2;…`, `--cards 3,2,2` or `--survey` (every
+//!   node of one fabric must be given the same schema);
+//! * listener and engine: `--port N`, `--host H`, `--shards K`,
+//!   `--policy P`, `--max-line-bytes N`;
+//! * evaluation and acquisition: `--lattice-order K`, `--dense-ceiling N`,
+//!   `--max-order K`;
+//! * reactor: `--loop-shards K`, `--max-connections N`,
+//!   `--idle-timeout-ms N`;
+//! * durability: `--journal PATH`, `--journal-fsync SPEC`,
+//!   `--checkpoint PATH`, `--checkpoint-interval-ms N`;
+//! * overload: `--engine-queue N`, `--rate-limit-conn/-read/-write
+//!   RATE[:BURST]`.
+//!
+//! `SIGTERM`/`SIGINT` drain gracefully and cut a final checkpoint.  An
+//! ingest node always runs the `manual` policy: the coordinator refits.
 //!
 //! Pushes and syncs are sent on change: an ingest node pushes as soon as
 //! a batch is journalled and acknowledged, and a coordinator offers each
@@ -26,19 +44,11 @@
 //!   failed, and the poll period for `--pull` ingest nodes;
 //! * `--pull-interval-ms` — poll period of a replica given `--coordinator`.
 //!
-//! `SCHEMA` is `--schema name=v1|v2;…`, `--cards 3,2,2` or `--survey`, as
-//! in `pka-serve`; every node of one fabric must be given the same schema.
-//! Every role also accepts the reactor flags `--loop-shards`,
-//! `--max-connections` and `--idle-timeout-ms`, and the durability flags
-//! `--journal PATH`, `--journal-fsync SPEC`, `--checkpoint PATH` and
-//! `--checkpoint-interval-ms N` (as in `pka-serve`); `SIGTERM`/`SIGINT`
-//! drain gracefully and cut a final checkpoint.  The overload flags
-//! `--engine-queue N` and `--rate-limit-conn/-read/-write RATE[:BURST]`
-//! also pass through to every role, and `probe --storm-requests N`
-//! hammers the coordinator with pipelined ingest before the functional
-//! steps, printing the shed/rate-limit counters for CI to grep.  On
-//! startup each node prints `listening on <addr>` to stdout so wrapper
-//! scripts can scrape ephemeral ports.
+//! `probe --storm-requests N` hammers the coordinator with pipelined
+//! ingest before the functional steps, printing the shed/rate-limit
+//! counters for CI to grep.  On startup each node prints
+//! `listening on <addr>` to stdout so wrapper scripts can scrape
+//! ephemeral ports.
 //!
 //! The probe ingests deterministic rows (into the `--ingest` nodes if
 //! given, else straight into the coordinator), forces a refresh, waits for
@@ -48,13 +58,12 @@
 //! reports them all open (the CI fan-in check), and with `--shutdown`
 //! stops every node (replicas and ingest nodes first, coordinator last).
 
-use pka_contingency::{Attribute, Schema};
+use pka_contingency::Schema;
 use pka_fabric::{
     Coordinator, CoordinatorConfig, IngestNode, IngestNodeConfig, Replica, ReplicaConfig,
 };
+use pka_serve::cli::{self, Options};
 use pka_serve::{LineClient, ServeConfig};
-use pka_stream::{FsyncPolicy, RefreshPolicy, StreamConfig};
-use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -77,219 +86,34 @@ fn main() -> ExitCode {
     }
 }
 
-/// Pulls `--flag value` options (repeatable) out of an argument list.
-struct Options {
-    args: Vec<(String, Option<String>)>,
-}
-
-impl Options {
-    fn parse(args: &[String], flags_with_value: &[&str]) -> Result<Self, String> {
-        let mut parsed = Vec::new();
-        let mut iter = args.iter().peekable();
-        while let Some(arg) = iter.next() {
-            if !arg.starts_with("--") {
-                return Err(format!("unexpected argument `{arg}`"));
-            }
-            if flags_with_value.contains(&arg.as_str()) {
-                let value = iter.next().ok_or_else(|| format!("`{arg}` needs a value"))?.clone();
-                parsed.push((arg.clone(), Some(value)));
-            } else {
-                parsed.push((arg.clone(), None));
-            }
-        }
-        Ok(Self { args: parsed })
-    }
-
-    fn value(&self, flag: &str) -> Option<&str> {
-        self.args.iter().rev().find(|(name, _)| name == flag).and_then(|(_, v)| v.as_deref())
-    }
-
-    fn values(&self, flag: &str) -> Vec<&str> {
-        self.args
-            .iter()
-            .filter(|(name, _)| name == flag)
-            .filter_map(|(_, v)| v.as_deref())
-            .collect()
-    }
-
-    fn present(&self, flag: &str) -> bool {
-        self.args.iter().any(|(name, _)| name == flag)
-    }
-}
-
-fn build_schema(options: &Options) -> Result<Arc<Schema>, String> {
-    if options.present("--survey") {
-        return Ok(Schema::new(vec![
-            Attribute::new("smoking", ["smoker", "non-smoker", "married-to-smoker"]),
-            Attribute::yes_no("cancer"),
-            Attribute::yes_no("family-history"),
-        ])
-        .map_err(|e| e.to_string())?
-        .into_shared());
-    }
-    if let Some(spec) = options.value("--schema") {
-        let mut attributes = Vec::new();
-        for attr_spec in spec.split(';').filter(|s| !s.is_empty()) {
-            let (name, values) = attr_spec
-                .split_once('=')
-                .ok_or_else(|| format!("bad --schema attribute `{attr_spec}` (want name=v1|v2)"))?;
-            let values: Vec<&str> = values.split('|').filter(|v| !v.is_empty()).collect();
-            if values.len() < 2 {
-                return Err(format!("attribute `{name}` needs at least two values"));
-            }
-            attributes.push(Attribute::new(name, values));
-        }
-        return Ok(Schema::new(attributes).map_err(|e| e.to_string())?.into_shared());
-    }
-    if let Some(cards) = options.value("--cards") {
-        let cardinalities: Vec<usize> = cards
-            .split(',')
-            .map(|c| c.trim().parse().map_err(|_| format!("bad --cards entry `{c}`")))
-            .collect::<Result<_, _>>()?;
-        return Ok(Schema::uniform(&cardinalities).map_err(|e| e.to_string())?.into_shared());
-    }
-    Err("no schema given: pass --schema, --cards or --survey".to_string())
-}
-
-fn base_serve(options: &Options) -> Result<ServeConfig, String> {
-    let mut config = ServeConfig::new();
-    if let Some(port) = options.value("--port") {
-        config = config.with_port(port.parse().map_err(|_| format!("bad --port `{port}`"))?);
-    }
-    if let Some(host) = options.value("--host") {
-        config = config.with_host(host);
-    }
-    if let Some(name) = options.value("--name") {
-        config = config.with_node_name(name);
-    }
-    if let Some(shards) = options.value("--loop-shards") {
-        config = config
-            .with_loop_shards(shards.parse().map_err(|_| format!("bad --loop-shards `{shards}`"))?);
-    }
-    if let Some(cap) = options.value("--max-connections") {
-        config = config.with_max_connections(
-            cap.parse().map_err(|_| format!("bad --max-connections `{cap}`"))?,
-        );
-    }
-    if let Some(idle) = options.value("--idle-timeout-ms") {
-        config = config.with_idle_timeout_ms(
-            idle.parse().map_err(|_| format!("bad --idle-timeout-ms `{idle}`"))?,
-        );
-    }
-    if let Some(path) = options.value("--journal") {
-        config = config.with_journal(path);
-    }
-    if let Some(spec) = options.value("--journal-fsync") {
-        config = config.with_journal_fsync(FsyncPolicy::parse(spec).map_err(|e| e.to_string())?);
-    }
-    if let Some(path) = options.value("--checkpoint") {
-        config = config.with_checkpoint(path);
-    }
-    if let Some(ms) = options.value("--checkpoint-interval-ms") {
-        let ms: u64 = ms.parse().map_err(|_| format!("bad --checkpoint-interval-ms `{ms}`"))?;
-        config = config.with_checkpoint_interval(Duration::from_millis(ms));
-    }
-    if let Some(cap) = options.value("--engine-queue") {
-        config = config
-            .with_engine_queue_cap(cap.parse().map_err(|_| format!("bad --engine-queue `{cap}`"))?);
-    }
-    let mut rate_limit = pka_serve::RateLimitConfig::default();
-    if let Some(spec) = options.value("--rate-limit-conn") {
-        rate_limit.per_conn = Some(
-            pka_serve::BucketSpec::parse(spec)
-                .map_err(|e| format!("bad --rate-limit-conn: {e}"))?,
-        );
-    }
-    if let Some(spec) = options.value("--rate-limit-read") {
-        rate_limit.read = Some(
-            pka_serve::BucketSpec::parse(spec)
-                .map_err(|e| format!("bad --rate-limit-read: {e}"))?,
-        );
-    }
-    if let Some(spec) = options.value("--rate-limit-write") {
-        rate_limit.write = Some(
-            pka_serve::BucketSpec::parse(spec)
-                .map_err(|e| format!("bad --rate-limit-write: {e}"))?,
-        );
-    }
-    config = config.with_rate_limit(rate_limit);
-    Ok(config)
-}
-
-/// Routes `SIGTERM`/`SIGINT` to a node's graceful shutdown: connections
-/// drain, pushers flush, and the engine thread cuts a final checkpoint —
-/// so an orchestrated restart never loses acknowledged work.
-fn drain_on_termination(trigger: pka_serve::ShutdownTrigger) {
-    if let Ok(watch) = pka_serve::watch_termination() {
-        std::thread::Builder::new()
-            .name("pka-fabric-signals".to_string())
-            .spawn(move || {
-                watch.wait();
-                trigger.request();
-            })
-            .ok();
-    }
-}
-
-fn parse_policy(policy: &str) -> Result<RefreshPolicy, String> {
-    if policy == "manual" {
-        return Ok(RefreshPolicy::Manual);
-    }
-    if let Some(n) = policy.strip_prefix("every=") {
-        return Ok(RefreshPolicy::EveryNTuples(
-            n.parse().map_err(|_| format!("bad policy `{policy}`"))?,
-        ));
-    }
-    if let Some(f) = policy.strip_prefix("fraction=") {
-        return Ok(RefreshPolicy::DirtyFraction(
-            f.parse().map_err(|_| format!("bad policy `{policy}`"))?,
-        ));
-    }
-    Err(format!("unknown policy `{policy}` (want manual, every=N or fraction=F)"))
-}
-
-fn interval_ms(options: &Options, flag: &str, default_ms: u64) -> Result<Duration, String> {
-    match options.value(flag) {
-        None => Ok(Duration::from_millis(default_ms)),
-        Some(ms) => {
-            Ok(Duration::from_millis(ms.parse().map_err(|_| format!("bad {flag} `{ms}`"))?))
-        }
-    }
-}
-
-const NODE_FLAGS: &[&str] = &[
-    "--port",
-    "--host",
+/// The fabric-only flags every role also accepts.
+const FABRIC_FLAGS: &[&str] = &[
     "--name",
-    "--schema",
-    "--cards",
-    "--policy",
     "--coordinator",
     "--replica",
     "--pull",
     "--sync-interval-ms",
     "--push-interval-ms",
     "--pull-interval-ms",
-    "--loop-shards",
-    "--max-connections",
-    "--idle-timeout-ms",
-    "--journal",
-    "--journal-fsync",
-    "--checkpoint",
-    "--checkpoint-interval-ms",
-    "--engine-queue",
-    "--rate-limit-conn",
-    "--rate-limit-read",
-    "--rate-limit-write",
 ];
 
-fn coordinator(args: &[String]) -> Result<(), String> {
-    let options = Options::parse(args, NODE_FLAGS)?;
-    let schema = build_schema(&options)?;
-    let mut serve = base_serve(&options)?;
-    if let Some(policy) = options.value("--policy") {
-        serve = serve.with_stream(StreamConfig::new().with_policy(parse_policy(policy)?));
+/// A role's options, its schema and its node configuration.
+fn node(args: &[String]) -> Result<(Options, Arc<Schema>, ServeConfig), String> {
+    let options = Options::parse(args, &[cli::NODE_FLAGS, FABRIC_FLAGS].concat())?;
+    let schema = cli::build_schema(&options)?;
+    let mut serve = cli::node_config(&options)?;
+    if let Some(name) = options.value("--name") {
+        serve = serve.with_node_name(name);
     }
+    Ok((options, schema, serve))
+}
+
+fn interval_ms(options: &Options, flag: &str, default_ms: u64) -> Result<Duration, String> {
+    Ok(Duration::from_millis(options.parsed(flag)?.unwrap_or(default_ms)))
+}
+
+fn coordinator(args: &[String]) -> Result<(), String> {
+    let (options, schema, serve) = node(args)?;
     let mut config = CoordinatorConfig::new().with_serve(serve).with_sync_interval(interval_ms(
         &options,
         "--sync-interval-ms",
@@ -302,47 +126,32 @@ fn coordinator(args: &[String]) -> Result<(), String> {
         config = config.with_ingest_node(node);
     }
     let node = Coordinator::start(schema, config).map_err(|e| e.to_string())?;
-    println!("listening on {}", node.addr());
-    std::io::stdout().flush().ok();
-    drain_on_termination(node.shutdown_trigger());
-    node.wait().map_err(|e| e.to_string())?;
-    println!("shut down cleanly");
-    Ok(())
+    cli::run_node(node.addr(), node.shutdown_trigger(), || node.wait().map_err(|e| e.to_string()))
 }
 
 fn ingest_node(args: &[String]) -> Result<(), String> {
-    let options = Options::parse(args, NODE_FLAGS)?;
-    let schema = build_schema(&options)?;
+    let (options, schema, serve) = node(args)?;
     let coordinator =
         options.value("--coordinator").ok_or("ingest-node needs --coordinator HOST:PORT")?;
     let config = IngestNodeConfig::new(coordinator)
-        .with_serve(base_serve(&options)?)
+        .with_serve(serve)
         .with_push_interval(interval_ms(&options, "--push-interval-ms", 25)?);
     let node = IngestNode::start(schema, config).map_err(|e| e.to_string())?;
-    println!("listening on {}", node.addr());
-    std::io::stdout().flush().ok();
-    drain_on_termination(node.shutdown_trigger());
-    node.wait().map_err(|e| e.to_string())?;
-    println!("shut down cleanly");
-    Ok(())
+    cli::run_node(node.addr(), node.shutdown_trigger(), || node.wait().map_err(|e| e.to_string()))
 }
 
 fn replica(args: &[String]) -> Result<(), String> {
-    let options = Options::parse(args, NODE_FLAGS)?;
-    let schema = build_schema(&options)?;
-    let mut config = ReplicaConfig::new()
-        .with_serve(base_serve(&options)?)
-        .with_pull_interval(interval_ms(&options, "--pull-interval-ms", 50)?);
+    let (options, schema, serve) = node(args)?;
+    let mut config = ReplicaConfig::new().with_serve(serve).with_pull_interval(interval_ms(
+        &options,
+        "--pull-interval-ms",
+        50,
+    )?);
     if let Some(coordinator) = options.value("--coordinator") {
         config = config.with_coordinator(coordinator);
     }
     let node = Replica::start(schema, config).map_err(|e| e.to_string())?;
-    println!("listening on {}", node.addr());
-    std::io::stdout().flush().ok();
-    drain_on_termination(node.shutdown_trigger());
-    node.wait().map_err(|e| e.to_string())?;
-    println!("shut down cleanly");
-    Ok(())
+    cli::run_node(node.addr(), node.shutdown_trigger(), || node.wait().map_err(|e| e.to_string()))
 }
 
 /// Drives a running fabric end to end and fails loudly on any surprise.

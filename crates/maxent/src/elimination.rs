@@ -352,25 +352,6 @@ impl FactorGraph {
         self.weight(assignment) / z
     }
 
-    /// Conditional probability `P(target | given)` from two eliminations —
-    /// the same contract as [`LogLinearModel::conditional`].
-    pub fn conditional(&self, target: &Assignment, given: &Assignment) -> crate::Result<f64> {
-        if !target.compatible_with(given) {
-            return Err(crate::MaxEntError::InfeasibleConstraints {
-                reason: "target and evidence assign different values to a shared attribute"
-                    .to_string(),
-            });
-        }
-        let joint = target.merge(given).expect("compatibility checked above");
-        let denominator = self.weight(given);
-        if denominator <= 0.0 {
-            return Err(crate::MaxEntError::ZeroProbabilityEvidence {
-                evidence: given.describe(&self.schema),
-            });
-        }
-        Ok(self.weight(&joint) / denominator)
-    }
-
     /// The full **normalised marginal table** over `vars`, computed by
     /// eliminating every other variable (min-fill order) and combining the
     /// surviving factors — never touching the dense joint.
@@ -581,19 +562,8 @@ mod tests {
         let given = Assignment::from_pairs([(0, 0), (2, 1)]);
         let joint = target.merge(&given).unwrap();
         let via_graph = graph.weight(&joint) / graph.weight(&given);
-        let via_model = model.conditional(&target, &given).unwrap();
+        let via_model = model.probability(&joint) / model.probability(&given);
         assert!((via_graph - via_model).abs() < 1e-9);
-        // The convenience method agrees too.
-        let direct = graph.conditional(&target, &given).unwrap();
-        assert!((direct - via_model).abs() < 1e-9);
-    }
-
-    #[test]
-    fn conditional_error_contract_matches_model() {
-        let model = fitted_model();
-        let graph = FactorGraph::from_model(&model);
-        // Incompatible target/evidence.
-        assert!(graph.conditional(&Assignment::single(0, 1), &Assignment::single(0, 0)).is_err());
     }
 
     #[test]

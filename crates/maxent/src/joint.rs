@@ -69,6 +69,13 @@ impl JointDistribution {
         Self { schema, probabilities: weights }
     }
 
+    /// Wraps cell weights exactly as given — no validation, no
+    /// normalisation.  For the evaluator of a model's raw dense image.
+    pub(crate) fn from_raw(schema: Arc<Schema>, probabilities: Vec<f64>) -> Self {
+        debug_assert_eq!(probabilities.len(), schema.cell_count());
+        Self { schema, probabilities }
+    }
+
     /// The uniform distribution over the schema's cells.
     pub fn uniform(schema: Arc<Schema>) -> Self {
         let n = schema.cell_count();
@@ -117,24 +124,6 @@ impl JointDistribution {
         // Out-of-schema assignments yield an empty iterator, matching
         // nothing — the same contract as the reference scan.
         self.schema.matching_cells(assignment).map(|i| self.probabilities[i]).sum()
-    }
-
-    /// Conditional probability `P(target | given)`.
-    pub fn conditional(&self, target: &Assignment, given: &Assignment) -> Result<f64> {
-        if !target.compatible_with(given) {
-            return Err(MaxEntError::InfeasibleConstraints {
-                reason: "target and evidence assign different values to a shared attribute"
-                    .to_string(),
-            });
-        }
-        let denominator = self.probability(given);
-        if denominator <= 0.0 {
-            return Err(MaxEntError::ZeroProbabilityEvidence {
-                evidence: given.describe(&self.schema),
-            });
-        }
-        let joint = target.merge(given).expect("compatibility checked above");
-        Ok(self.probability(&joint) / denominator)
     }
 
     /// Reference implementation of [`JointDistribution::probability`]: scan
@@ -264,23 +253,6 @@ mod tests {
         let empty = ContingencyTable::zeros(s);
         let u = JointDistribution::empirical(&empty);
         assert!((u.probability_of_values(&[0, 0]) - 1.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn conditionals() {
-        let s = schema();
-        let t = ContingencyTable::from_counts(Arc::clone(&s), vec![2, 0, 3, 1, 0, 4]).unwrap();
-        let j = JointDistribution::empirical(&t);
-        // P(b=0 | a=0) = 2 / 2.
-        let p = j.conditional(&Assignment::single(1, 0), &Assignment::single(0, 0)).unwrap();
-        assert!((p - 1.0).abs() < 1e-12);
-        // P(b=1 | a=1) = 1 / 4.
-        let p = j.conditional(&Assignment::single(1, 1), &Assignment::single(0, 1)).unwrap();
-        assert!((p - 0.25).abs() < 1e-12);
-        assert!(j.conditional(&Assignment::single(0, 0), &Assignment::single(0, 1)).is_err());
-        // a=2,b=0 has zero probability: conditioning on it is an error.
-        let zero_evidence = Assignment::from_pairs([(0, 2), (1, 0)]);
-        assert!(j.conditional(&Assignment::single(1, 1), &zero_evidence).is_err());
     }
 
     #[test]

@@ -2,37 +2,39 @@
 //! cutoff order, materialised once so queries become table lookups.
 //!
 //! The serve read path answers `P(target | evidence)` by Bayes' identity
-//! from up to three marginal probabilities.  Computed against the dense
-//! joint each one is a stride walk over `∏ free cardinalities` cells;
-//! computed against a [`MarginalLattice`] each one is **one mixed-radix
-//! index computation plus one array load** whenever the assignment's
-//! variable set has order at most `k` — which is where the constraints the
-//! acquisition procedure promotes, and the queries users ask, live.
+//! from up to three marginal probabilities.  Computed by the model's
+//! [`Evaluator`] each one is a stride walk over `∏ free cardinalities`
+//! dense cells or a variable elimination; computed against a
+//! [`MarginalLattice`] each one is **one mixed-radix index computation plus
+//! one array load** whenever the assignment's variable set has order at
+//! most `k` — which is where the constraints the acquisition procedure
+//! promotes, and the queries users ask, live.
 //!
 //! ## Build invariant (see also `pka_contingency::lattice`)
 //!
-//! The lattice is built at snapshot-publish time from the dense joint by
-//! executing [`pka_contingency::lattice_plan`]:
+//! The lattice is built at snapshot-publish time from the model's
+//! [`Evaluator`] by executing [`pka_contingency::lattice_plan`]:
 //!
 //! * tables are materialised in **descending order** of their variable-set
 //!   size, so each table's parent exists before the table is built;
-//! * only the **top-order** tables (`min(k, R)` variables) are summed
-//!   straight off the joint — every smaller table is a *single-axis*
-//!   summation from its cheapest already-materialised parent (the
-//!   extension variable with the smallest cardinality, ties broken on the
-//!   smallest index), never a fresh pass over the joint;
-//! * the publish-time cost is therefore `C(R, k)` passes over the joint
-//!   plus the sum of the parent-table sizes below the top order — for the
-//!   default `k = 2` a few joint sweeps, amortised over every query the
-//!   snapshot answers.
+//! * only the **top-order** tables (`min(k, R)` variables) come from
+//!   [`Evaluator::marginal`] — one pass over the dense joint, or one
+//!   elimination down to the planned varset above the dense ceiling, so a
+//!   wide schema never allocates `O(total cells)` — and every smaller
+//!   table is a *single-axis* summation from its cheapest
+//!   already-materialised parent (the extension variable with the smallest
+//!   cardinality, ties broken on the smallest index), never a fresh pass
+//!   over the model;
+//! * the publish-time cost is therefore `C(R, k)` marginals plus the sum of
+//!   the parent-table sizes below the top order — for the default `k = 2`
+//!   a few joint sweeps, amortised over every query the snapshot answers.
 //!
 //! Each table stores probabilities in row-major order over its member
 //! attributes (ascending attribute index, last member varying fastest),
 //! the same alignment [`Assignment::values`] uses — so a lookup is
 //! `Σ values[rank] · strides[rank]` with no re-sorting.
 
-use crate::elimination::FactorGraph;
-use crate::joint::JointDistribution;
+use crate::evaluator::Evaluator;
 use pka_contingency::{lattice_plan, Assignment, LatticeParent, Schema, VarSet};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -68,29 +70,6 @@ impl MarginalTable {
         }
         let cells = cards.iter().product::<usize>().max(1);
         Self { vars, members, cards, strides, probabilities: vec![0.0; cells] }
-    }
-
-    /// Sums the dense joint down to this table's variable set in one pass.
-    fn fill_from_joint(&mut self, joint: &JointDistribution) {
-        let joint_strides = joint.schema().strides();
-        for (i, &p) in joint.probabilities().iter().enumerate() {
-            let mut idx = 0usize;
-            for (pos, &attr) in self.members.iter().enumerate() {
-                idx += ((i / joint_strides[attr]) % self.cards[pos]) * self.strides[pos];
-            }
-            self.probabilities[idx] += p;
-        }
-    }
-
-    /// Fills the table from a [`FactorGraph`] marginal: variable
-    /// elimination down to this table's variable set, never touching the
-    /// dense joint.  The elimination output uses exactly this table's
-    /// row-major layout (ascending members, last member fastest), so the
-    /// fill is a straight copy.
-    fn fill_from_graph(&mut self, graph: &FactorGraph) {
-        let values = graph.marginal(self.vars);
-        debug_assert_eq!(values.len(), self.probabilities.len());
-        self.probabilities = values;
     }
 
     /// Sums a parent table (this table's variable set plus `sum_out`) down
@@ -172,40 +151,23 @@ pub struct MarginalLattice {
 }
 
 impl MarginalLattice {
-    /// Materialises every marginal table of `joint` up to order
-    /// `max_order`, executing the plan of [`pka_contingency::lattice_plan`]
-    /// (top-order tables from the joint, everything below by single-axis
-    /// summation from its cheapest parent — the build invariant in the
-    /// module docs).
-    pub fn build(joint: &JointDistribution, max_order: usize) -> Self {
-        Self::build_with(joint.shared_schema(), max_order, |table| table.fill_from_joint(joint))
-    }
-
-    /// Materialises the same lattice **without the dense joint**: every
-    /// top-order table is computed by [`FactorGraph::marginal`] (variable
-    /// elimination down to the planned varset), everything below still by
-    /// single-axis summation from its cheapest parent.  The build cost is
-    /// `C(R, k)` eliminations instead of `C(R, k)` passes over `Π cards`
-    /// cells — which is what makes publish affordable above the dense
-    /// ceiling.  For any normalised model, `build` of its joint and
-    /// `build_factored` of its graph agree table-by-table (property-tested
-    /// in this module and in `tests/lattice_equivalence.rs`).
-    pub fn build_factored(graph: &FactorGraph, max_order: usize) -> Self {
-        Self::build_with(graph.shared_schema(), max_order, |table| table.fill_from_graph(graph))
-    }
-
-    fn build_with(
-        schema: Arc<Schema>,
-        max_order: usize,
-        mut fill_top: impl FnMut(&mut MarginalTable),
-    ) -> Self {
+    /// Materialises every marginal table of the evaluator's model up to
+    /// order `max_order`, executing the plan of
+    /// [`pka_contingency::lattice_plan`] (top-order tables from
+    /// [`Evaluator::marginal`], everything below by single-axis summation
+    /// from its cheapest parent — the build invariant in the module docs).
+    /// Dense and factored evaluators of one normalised model yield the same
+    /// tables to within `1e-9` (property-tested in
+    /// `tests/lattice_equivalence.rs`).
+    pub fn build(evaluator: &Evaluator, max_order: usize) -> Self {
+        let schema = evaluator.shared_schema();
         let plan = lattice_plan(&schema, max_order);
         let mut index = HashMap::with_capacity(plan.len());
         let mut tables = Vec::with_capacity(plan.len());
         for step in plan {
             let mut table = MarginalTable::layout(&schema, step.vars);
             match step.parent {
-                LatticeParent::Joint => fill_top(&mut table),
+                LatticeParent::Joint => table.probabilities = evaluator.marginal(step.vars),
                 LatticeParent::Table { vars, sum_out } => {
                     let parent_pos =
                         *index.get(&vars).expect("plan materialises parents before children");
@@ -293,7 +255,17 @@ impl MarginalLattice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elimination::FactorGraph;
+    use crate::joint::JointDistribution;
     use pka_contingency::{Attribute, ContingencyTable};
+
+    fn from_joint(joint: &JointDistribution, max_order: usize) -> MarginalLattice {
+        MarginalLattice::build(&Evaluator::Dense(joint.clone()), max_order)
+    }
+
+    fn from_graph(graph: &FactorGraph, max_order: usize) -> MarginalLattice {
+        MarginalLattice::build(&Evaluator::Factored(graph.clone()), max_order)
+    }
 
     fn paper_joint() -> JointDistribution {
         let schema = Schema::new(vec![
@@ -314,7 +286,7 @@ mod tests {
     #[test]
     fn lattice_tables_match_figure_2() {
         let joint = paper_joint();
-        let lattice = MarginalLattice::build(&joint, 2);
+        let lattice = from_joint(&joint, 2);
         assert_eq!(lattice.table_count(), 7);
         assert_eq!(lattice.max_order(), 2);
         // Figure 2c: N^{AB}_{11} = 240 of 3428.
@@ -330,7 +302,7 @@ mod tests {
     #[test]
     fn uncovered_varsets_fall_through() {
         let joint = paper_joint();
-        let lattice = MarginalLattice::build(&joint, 2);
+        let lattice = from_joint(&joint, 2);
         // Order 3 is above the cutoff.
         let abc = Assignment::from_pairs([(0, 0), (1, 0), (2, 0)]);
         assert_eq!(lattice.probability(&abc), None);
@@ -344,7 +316,7 @@ mod tests {
     #[test]
     fn every_table_agrees_with_the_stride_walk_and_sums_to_one() {
         let joint = paper_joint();
-        let lattice = MarginalLattice::build(&joint, 3);
+        let lattice = from_joint(&joint, 3);
         assert_eq!(lattice.table_count(), 8);
         for table in lattice.tables.iter() {
             let total: f64 = table.probabilities().iter().sum();
@@ -362,7 +334,7 @@ mod tests {
         // The conditional path the serve layer and KnowledgeBase use:
         // evidence, merged and prior each one lattice lookup.
         let joint = paper_joint();
-        let lattice = MarginalLattice::build(&joint, 2);
+        let lattice = from_joint(&joint, 2);
         let target = Assignment::single(1, 0);
         let evidence = Assignment::single(0, 0);
         let merged = target.merge(&evidence).unwrap();
@@ -377,7 +349,7 @@ mod tests {
     #[test]
     fn memory_cost_is_the_small_tables_only() {
         let joint = paper_joint();
-        let lattice = MarginalLattice::build(&joint, 2);
+        let lattice = from_joint(&joint, 2);
         // 3·2 + 3·2 + 2·2 second-order + 3 + 2 + 2 first-order + 1.
         assert_eq!(lattice.total_cells(), 16 + 7 + 1);
     }
@@ -401,8 +373,8 @@ mod tests {
         let joint = model.to_joint();
         let graph = FactorGraph::from_model(&model);
         for order in 1..=3 {
-            let dense = MarginalLattice::build(&joint, order);
-            let factored = MarginalLattice::build_factored(&graph, order);
+            let dense = from_joint(&joint, order);
+            let factored = from_graph(&graph, order);
             assert_eq!(dense.table_count(), factored.table_count());
             for table in &dense.tables {
                 let other = factored.table(table.vars()).expect("same coverage");
@@ -434,11 +406,11 @@ mod tests {
         let mut model = crate::LogLinearModel::from_factors(schema, 1.0, factors).unwrap();
         model.normalize().unwrap();
         let graph = FactorGraph::from_model(&model);
-        let lattice = MarginalLattice::build_factored(&graph, 2);
+        let lattice = from_graph(&graph, 2);
         assert!(lattice.dense_lookup.is_empty(), "17 attrs must skip the dense LUT");
 
         let joint = model.to_joint();
-        let dense_lattice = MarginalLattice::build(&joint, 2);
+        let dense_lattice = from_joint(&joint, 2);
         assert!(dense_lattice.dense_lookup.is_empty());
 
         let probes = [
@@ -473,7 +445,7 @@ mod tests {
         let schema = Schema::uniform(&cards).unwrap().into_shared();
         let model = crate::LogLinearModel::uniform(schema);
         let graph = FactorGraph::from_model(&model);
-        let lattice = MarginalLattice::build_factored(&graph, 1);
+        let lattice = from_graph(&graph, 1);
         assert_eq!(lattice.dense_lookup.len(), 1 << MAX_DENSE_LOOKUP_VARS);
         let p = lattice.probability(&Assignment::single(15, 1)).unwrap();
         assert!((p - 0.5).abs() < 1e-12);

@@ -26,6 +26,9 @@
 //! * [`elimination`] — the Appendix-B sum-of-products evaluation: marginal
 //!   probabilities computed directly from the factors by variable
 //!   elimination, never materialising the full joint.
+//! * [`Evaluator`] — the one way a fitted model is turned into marginal
+//!   probabilities: its dense joint at or below the dense ceiling, its
+//!   factor graph above it ([`is_factored`] is the one comparison).
 //! * [`JointDistribution`], [`entropy`], [`metrics`] — dense distributions,
 //!   entropy / divergence / log-loss utilities used by the evaluation
 //!   harness.
@@ -38,6 +41,7 @@ pub mod convergence;
 pub mod elimination;
 pub mod entropy;
 pub mod error;
+pub mod evaluator;
 pub mod joint;
 pub mod lattice;
 pub mod metrics;
@@ -48,12 +52,11 @@ pub use constraint::{Constraint, ConstraintSet};
 pub use convergence::{ConvergenceCriteria, IterationRecord, SolveReport};
 pub use elimination::FactorGraph;
 pub use error::MaxEntError;
+pub use evaluator::{is_factored, EvalPath, Evaluator, DEFAULT_DENSE_CEILING};
 pub use joint::JointDistribution;
 pub use lattice::{MarginalLattice, MarginalTable, DEFAULT_LATTICE_ORDER};
 pub use model::LogLinearModel;
-pub use solver::{
-    fit, fit_with_initial, CacheStats, CsrIncidence, IncidenceCache, Solver, DEFAULT_DENSE_CEILING,
-};
+pub use solver::{fit, fit_with_initial, CacheStats, CsrIncidence, IncidenceCache, Solver};
 
 /// Convenient result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, MaxEntError>;

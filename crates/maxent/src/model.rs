@@ -195,27 +195,6 @@ impl LogLinearModel {
             .sum()
     }
 
-    /// Conditional probability `P(target | given)`, the memo's
-    /// `P(A | B, C) = P(A, B, C) / P(B, C)`.
-    ///
-    /// The two assignments must be compatible (agree on shared attributes).
-    pub fn conditional(&self, target: &Assignment, given: &Assignment) -> Result<f64> {
-        if !target.compatible_with(given) {
-            return Err(MaxEntError::InfeasibleConstraints {
-                reason: "target and evidence assign different values to a shared attribute"
-                    .to_string(),
-            });
-        }
-        let joint = target.merge(given).expect("compatibility checked above");
-        let denominator = self.probability(given);
-        if denominator <= 0.0 {
-            return Err(MaxEntError::ZeroProbabilityEvidence {
-                evidence: given.describe(&self.schema),
-            });
-        }
-        Ok(self.probability(&joint) / denominator)
-    }
-
     /// Sum of all cell probabilities (should be 1 after a successful fit).
     pub fn total_mass(&self) -> f64 {
         self.dense_probabilities().iter().sum()
@@ -335,28 +314,6 @@ mod tests {
         assert!((m.factor_of(&cell).unwrap() - 1.25).abs() < 1e-15);
         m.scale_a0(0.5);
         assert!((m.a0() - 0.5).abs() < 1e-15);
-    }
-
-    #[test]
-    fn conditional_probabilities() {
-        let m = independence_model();
-        // Under independence, P(cancer=yes | smoking=smoker) = p^B_1.
-        let p = m.conditional(&Assignment::single(1, 0), &Assignment::single(0, 0)).unwrap();
-        assert!((p - 0.126).abs() < 1e-9);
-        // Incompatible target/evidence is an error.
-        let err = m.conditional(&Assignment::single(0, 1), &Assignment::single(0, 0));
-        assert!(err.is_err());
-    }
-
-    #[test]
-    fn conditional_with_zero_evidence_is_error() {
-        let s = schema();
-        // A model in which smoking=smoker has zero probability.
-        let factors = vec![(Assignment::single(0, 0), 0.0)];
-        let mut m = LogLinearModel::from_factors(s, 1.0, factors).unwrap();
-        m.normalize().unwrap();
-        let err = m.conditional(&Assignment::single(1, 0), &Assignment::single(0, 0));
-        assert!(matches!(err, Err(MaxEntError::ZeroProbabilityEvidence { .. })));
     }
 
     #[test]

@@ -54,6 +54,7 @@ use crate::constraint::{Constraint, ConstraintSet};
 use crate::convergence::{ConvergenceCriteria, IterationRecord, SolveReport};
 use crate::elimination::FactorGraph;
 use crate::error::MaxEntError;
+use crate::evaluator::{is_factored, DEFAULT_DENSE_CEILING};
 use crate::model::LogLinearModel;
 use crate::Result;
 use pka_contingency::{Assignment, Schema, VarSet};
@@ -62,14 +63,6 @@ use std::sync::Arc;
 /// Constraint targets smaller than this are treated as exactly zero when the
 /// model has already driven the cell's probability to zero.
 const ZERO_TARGET: f64 = 1e-300;
-
-/// The default dense ceiling: joints of at most this many cells are fitted
-/// (and evaluated downstream) through the dense paths, which win on small
-/// schemas where one O(cells) sweep is cheaper than per-constraint variable
-/// eliminations.  Above it every layer switches to factored evaluation so
-/// cost depends on the factors a computation touches, not the total cell
-/// count.  See `docs/factored.md` for the policy and the crossover numbers.
-pub const DEFAULT_DENSE_CEILING: usize = 1_000_000;
 
 /// Every this many sweeps the incrementally-tracked total mass is replaced
 /// by an exact re-sum of the dense vector, bounding floating-point drift of
@@ -317,7 +310,7 @@ impl Solver {
         constraints: &ConstraintSet,
         cache: &mut IncidenceCache,
     ) -> Result<(LogLinearModel, SolveReport)> {
-        if constraints.schema().cell_count() > self.dense_ceiling {
+        if is_factored(constraints.schema(), self.dense_ceiling) {
             return self.fit_factored(model, constraints);
         }
         if model.schema() != constraints.schema() {
@@ -920,7 +913,8 @@ mod tests {
         }
         // The model still treats attribute B as independent of the AC block:
         // P(B=1 | A=1, C=2) should equal p^B_1.
-        let cond = model.conditional(&Assignment::single(1, 0), &ac12).unwrap();
+        let merged = Assignment::single(1, 0).merge(&ac12).unwrap();
+        let cond = model.probability(&merged) / model.probability(&ac12);
         assert!((cond - 433.0 / 3428.0).abs() < 1e-6);
     }
 

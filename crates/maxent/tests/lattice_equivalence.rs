@@ -6,12 +6,17 @@
 //! stride-walk fallback there.
 
 use pka_contingency::{Assignment, Schema, VarSet};
-use pka_maxent::{FactorGraph, JointDistribution, LogLinearModel, MarginalLattice};
+use pka_maxent::{Evaluator, FactorGraph, JointDistribution, LogLinearModel, MarginalLattice};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Tolerance between the factored paths and the dense ground truth.
 const FACTORED_TOL: f64 = 1e-9;
+
+/// The lattice of an explicit joint, built through the dense evaluator.
+fn lattice_of(joint: &JointDistribution, k: usize) -> MarginalLattice {
+    MarginalLattice::build(&Evaluator::Dense(joint.clone()), k)
+}
 
 /// Reference implementation: scan every cell and test membership.
 fn probability_by_scan(joint: &JointDistribution, assignment: &Assignment) -> f64 {
@@ -39,7 +44,7 @@ proptest! {
             Arc::clone(&schema),
             weights.into_iter().cycle().take(n).collect(),
         );
-        let lattice = MarginalLattice::build(&joint, k);
+        let lattice = lattice_of(&joint, k);
         let vars = VarSet::from_bits(mask).intersection(schema.all_vars());
         let cell = (seed as usize) % n;
         let a = Assignment::project(vars, &schema.cell_values(cell));
@@ -75,7 +80,7 @@ proptest! {
             Arc::clone(&schema),
             weights.into_iter().cycle().take(n).collect(),
         );
-        let lattice = MarginalLattice::build(&joint, k);
+        let lattice = lattice_of(&joint, k);
         // All C(R, ≤k) tables are materialised …
         let expected: usize = (0..=k.min(schema.len()))
             .map(|m| schema.all_vars().subsets_of_size(m).len())
@@ -102,7 +107,7 @@ proptest! {
         // the lattice and be answerable by the stride walk.
         let schema = Schema::uniform(&cards).unwrap().into_shared();
         let joint = JointDistribution::uniform(Arc::clone(&schema));
-        let lattice = MarginalLattice::build(&joint, 1);
+        let lattice = lattice_of(&joint, 1);
         let cell = (seed as usize) % schema.cell_count();
         let pair = VarSet::from_indices([0, 1]);
         let a = Assignment::project(pair, &schema.cell_values(cell));
@@ -113,8 +118,8 @@ proptest! {
     }
 
     /// Random log-linear models: `FactorGraph` marginals and conditionals,
-    /// both lattice builds (dense and factored), and the dense joint must
-    /// all agree on every marginal cell of order ≤ 2.
+    /// both lattice builds (dense and factored evaluators), and the dense
+    /// joint must all agree on every marginal cell of order ≤ 2.
     #[test]
     fn prop_graph_lattice_and_joint_agree(
         factor_values in proptest::collection::vec(0.05f64..8.0, 5),
@@ -134,8 +139,10 @@ proptest! {
 
         let joint = model.to_joint();
         let graph = FactorGraph::from_model(&model);
-        let from_joint = MarginalLattice::build(&joint, 2);
-        let from_graph = MarginalLattice::build_factored(&graph, 2);
+        let dense = Evaluator::new(&model, usize::MAX);
+        let factored = Evaluator::new(&model, 0);
+        let from_joint = MarginalLattice::build(&dense, 2);
+        let from_graph = MarginalLattice::build(&factored, 2);
 
         for bits in 1u32..(1 << schema.len()) {
             let vars = VarSet::from_bits(bits);
@@ -168,13 +175,18 @@ proptest! {
             }
         }
 
-        // Conditionals p(attr0 = v | attr2 = w): elimination vs the joint.
+        // Conditionals p(attr0 = v | attr2 = w) by Bayes' identity over
+        // each evaluator: elimination vs the joint.
+        let conditional = |evaluator: &Evaluator, target: &Assignment, given: &Assignment| {
+            let merged = target.merge(given).unwrap();
+            evaluator.probability(&merged).0 / evaluator.probability(given).0
+        };
         for v in 0..3usize {
             for w in 0..2usize {
                 let target = Assignment::single(0, v);
                 let given = Assignment::single(2, w);
-                let via_graph = graph.conditional(&target, &given).unwrap();
-                let via_joint = joint.conditional(&target, &given).unwrap();
+                let via_graph = conditional(&factored, &target, &given);
+                let via_joint = conditional(&dense, &target, &given);
                 prop_assert!(
                     (via_graph - via_joint).abs() <= FACTORED_TOL,
                     "conditional diverged: {} vs {}", via_graph, via_joint
@@ -203,10 +215,8 @@ proptest! {
             LogLinearModel::from_factors(Arc::clone(&schema), 1.0, factors).unwrap();
         model.normalize().unwrap();
 
-        let joint = model.to_joint();
-        let graph = FactorGraph::from_model(&model);
-        let dense = MarginalLattice::build(&joint, order);
-        let factored = MarginalLattice::build_factored(&graph, order);
+        let dense = MarginalLattice::build(&Evaluator::new(&model, usize::MAX), order);
+        let factored = MarginalLattice::build(&Evaluator::new(&model, 0), order);
         prop_assert_eq!(dense.table_count(), factored.table_count());
         prop_assert_eq!(dense.total_cells(), factored.total_cells());
 

@@ -31,6 +31,9 @@
 //!    reaping, slow-reader backpressure and a graceful shutdown drain —
 //!    see `docs/net.md`.
 //!
+//! [`cli`] is the command-line surface `pka-serve` and every `pka-fabric`
+//! role share: one flag parser, one schema builder, one signal drain.
+//!
 //! ```
 //! use pka_contingency::Schema;
 //! use pka_serve::{LineClient, ServeConfig, Server};
@@ -49,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod admission;
+pub mod cli;
 pub mod client;
 pub mod error;
 pub mod protocol;

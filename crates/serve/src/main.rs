@@ -44,19 +44,16 @@
 //! * `probe --idle-hold N` opens `N` extra idle connections mid-probe and
 //!   asserts the server reports them all open — the CI concurrency check.
 //! * `probe --expect-factored` issues an above-lattice-order query and
-//!   asserts it was answered by factored evaluation with the dense-joint
-//!   path never taken (`factored_evals > 0`, `dense_evals == 0`) — the CI
-//!   wide-schema check.
+//!   explanation and asserts both were answered by factored evaluation
+//!   with the dense-joint path never taken (`factored_evals` rising,
+//!   `dense_evals == 0`) — the CI wide-schema check.
 //!
 //! On startup the server prints `listening on <addr>` to stdout, so a
 //! wrapper script can scrape the ephemeral port.
 
-use pka_contingency::{Attribute, Schema};
-use pka_serve::{protocol, BucketSpec, LineClient, RateLimitConfig, ServeConfig, Server};
-use pka_stream::{FsyncPolicy, RefreshPolicy, StreamConfig};
-use std::io::Write;
+use pka_serve::cli::{self, Options};
+use pka_serve::{protocol, LineClient, Server};
 use std::process::ExitCode;
-use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -74,223 +71,14 @@ fn main() -> ExitCode {
     }
 }
 
-/// Pulls the value of `--flag value` style options out of an argument list.
-struct Options {
-    args: Vec<(String, Option<String>)>,
-}
-
-impl Options {
-    fn parse(args: &[String], flags_with_value: &[&str]) -> Result<Self, String> {
-        let mut parsed = Vec::new();
-        let mut iter = args.iter().peekable();
-        while let Some(arg) = iter.next() {
-            if !arg.starts_with("--") {
-                return Err(format!("unexpected argument `{arg}`"));
-            }
-            if flags_with_value.contains(&arg.as_str()) {
-                let value = iter.next().ok_or_else(|| format!("`{arg}` needs a value"))?.clone();
-                parsed.push((arg.clone(), Some(value)));
-            } else {
-                parsed.push((arg.clone(), None));
-            }
-        }
-        Ok(Self { args: parsed })
-    }
-
-    fn value(&self, flag: &str) -> Option<&str> {
-        self.args.iter().rev().find(|(name, _)| name == flag).and_then(|(_, v)| v.as_deref())
-    }
-
-    fn present(&self, flag: &str) -> bool {
-        self.args.iter().any(|(name, _)| name == flag)
-    }
-}
-
-/// Builds the opt-in admission policy from the `--rate-limit-*` flags
-/// (each takes `RATE` or `RATE:BURST`).
-fn parse_rate_limits(options: &Options) -> Result<RateLimitConfig, String> {
-    let mut rate_limit = RateLimitConfig::default();
-    if let Some(spec) = options.value("--rate-limit-conn") {
-        rate_limit.per_conn =
-            Some(BucketSpec::parse(spec).map_err(|e| format!("bad --rate-limit-conn: {e}"))?);
-    }
-    if let Some(spec) = options.value("--rate-limit-read") {
-        rate_limit.read =
-            Some(BucketSpec::parse(spec).map_err(|e| format!("bad --rate-limit-read: {e}"))?);
-    }
-    if let Some(spec) = options.value("--rate-limit-write") {
-        rate_limit.write =
-            Some(BucketSpec::parse(spec).map_err(|e| format!("bad --rate-limit-write: {e}"))?);
-    }
-    Ok(rate_limit)
-}
-
 fn serve(args: &[String]) -> Result<(), String> {
-    let options = Options::parse(
-        args,
-        &[
-            "--port",
-            "--host",
-            "--shards",
-            "--policy",
-            "--schema",
-            "--cards",
-            "--max-line-bytes",
-            "--lattice-order",
-            "--dense-ceiling",
-            "--max-order",
-            "--loop-shards",
-            "--max-connections",
-            "--idle-timeout-ms",
-            "--journal",
-            "--journal-fsync",
-            "--checkpoint",
-            "--checkpoint-interval-ms",
-            "--engine-queue",
-            "--rate-limit-conn",
-            "--rate-limit-read",
-            "--rate-limit-write",
-        ],
-    )?;
-
-    let schema = build_schema(&options)?;
-    let mut stream = StreamConfig::new();
-    if let Some(shards) = options.value("--shards") {
-        stream = stream
-            .with_shard_count(shards.parse().map_err(|_| format!("bad --shards `{shards}`"))?);
-    }
-    if let Some(policy) = options.value("--policy") {
-        stream = stream.with_policy(parse_policy(policy)?);
-    }
-    if let Some(order) = options.value("--lattice-order") {
-        stream = stream.with_lattice_order(
-            order.parse().map_err(|_| format!("bad --lattice-order `{order}`"))?,
-        );
-    }
-    if let Some(cells) = options.value("--dense-ceiling") {
-        stream = stream.with_dense_ceiling(
-            cells.parse().map_err(|_| format!("bad --dense-ceiling `{cells}`"))?,
-        );
-    }
-    if let Some(order) = options.value("--max-order") {
-        stream =
-            stream.with_max_order(order.parse().map_err(|_| format!("bad --max-order `{order}`"))?);
-    }
-    let mut config = ServeConfig::new().with_stream(stream);
-    if let Some(port) = options.value("--port") {
-        config = config.with_port(port.parse().map_err(|_| format!("bad --port `{port}`"))?);
-    }
-    if let Some(host) = options.value("--host") {
-        config = config.with_host(host);
-    }
-    if let Some(max) = options.value("--max-line-bytes") {
-        config = config
-            .with_max_line_bytes(max.parse().map_err(|_| format!("bad --max-line-bytes `{max}`"))?);
-    }
-    if let Some(shards) = options.value("--loop-shards") {
-        config = config
-            .with_loop_shards(shards.parse().map_err(|_| format!("bad --loop-shards `{shards}`"))?);
-    }
-    if let Some(cap) = options.value("--max-connections") {
-        config = config.with_max_connections(
-            cap.parse().map_err(|_| format!("bad --max-connections `{cap}`"))?,
-        );
-    }
-    if let Some(idle) = options.value("--idle-timeout-ms") {
-        config = config.with_idle_timeout_ms(
-            idle.parse().map_err(|_| format!("bad --idle-timeout-ms `{idle}`"))?,
-        );
-    }
-    if let Some(path) = options.value("--journal") {
-        config = config.with_journal(path);
-    }
-    if let Some(spec) = options.value("--journal-fsync") {
-        config = config.with_journal_fsync(FsyncPolicy::parse(spec).map_err(|e| e.to_string())?);
-    }
-    if let Some(path) = options.value("--checkpoint") {
-        config = config.with_checkpoint(path);
-    }
-    if let Some(ms) = options.value("--checkpoint-interval-ms") {
-        let ms: u64 = ms.parse().map_err(|_| format!("bad --checkpoint-interval-ms `{ms}`"))?;
-        config = config.with_checkpoint_interval(std::time::Duration::from_millis(ms));
-    }
-    if let Some(cap) = options.value("--engine-queue") {
-        config = config
-            .with_engine_queue_cap(cap.parse().map_err(|_| format!("bad --engine-queue `{cap}`"))?);
-    }
-    config = config.with_rate_limit(parse_rate_limits(&options)?);
-
-    let server = Server::start(schema, config).map_err(|e| e.to_string())?;
-    println!("listening on {}", server.addr());
-    std::io::stdout().flush().ok();
-    // SIGTERM/SIGINT request the same graceful drain a client `shutdown`
-    // does — the engine thread cuts a final checkpoint before exiting, so
-    // orchestrated restarts (systemd, k8s) never lose acknowledged work.
-    if let Ok(watch) = pka_net::watch_termination() {
-        let trigger = server.shutdown_trigger();
-        std::thread::Builder::new()
-            .name("pka-serve-signals".to_string())
-            .spawn(move || {
-                watch.wait();
-                trigger.request();
-            })
-            .map_err(|e| e.to_string())?;
-    }
+    let options = Options::parse(args, cli::NODE_FLAGS)?;
+    let schema = cli::build_schema(&options)?;
+    let server = Server::start(schema, cli::node_config(&options)?).map_err(|e| e.to_string())?;
     // Serve until a client sends `shutdown` (or a signal arrives).
-    server.wait().map_err(|e| e.to_string())?;
-    println!("shut down cleanly");
-    Ok(())
-}
-
-fn build_schema(options: &Options) -> Result<Arc<Schema>, String> {
-    if options.present("--survey") {
-        return Ok(Schema::new(vec![
-            Attribute::new("smoking", ["smoker", "non-smoker", "married-to-smoker"]),
-            Attribute::yes_no("cancer"),
-            Attribute::yes_no("family-history"),
-        ])
-        .map_err(|e| e.to_string())?
-        .into_shared());
-    }
-    if let Some(spec) = options.value("--schema") {
-        let mut attributes = Vec::new();
-        for attr_spec in spec.split(';').filter(|s| !s.is_empty()) {
-            let (name, values) = attr_spec
-                .split_once('=')
-                .ok_or_else(|| format!("bad --schema attribute `{attr_spec}` (want name=v1|v2)"))?;
-            let values: Vec<&str> = values.split('|').filter(|v| !v.is_empty()).collect();
-            if values.len() < 2 {
-                return Err(format!("attribute `{name}` needs at least two values"));
-            }
-            attributes.push(Attribute::new(name, values));
-        }
-        return Ok(Schema::new(attributes).map_err(|e| e.to_string())?.into_shared());
-    }
-    if let Some(cards) = options.value("--cards") {
-        let cardinalities: Vec<usize> = cards
-            .split(',')
-            .map(|c| c.trim().parse().map_err(|_| format!("bad --cards entry `{c}`")))
-            .collect::<Result<_, _>>()?;
-        return Ok(Schema::uniform(&cardinalities).map_err(|e| e.to_string())?.into_shared());
-    }
-    Err("no schema given: pass --schema, --cards or --survey".to_string())
-}
-
-fn parse_policy(policy: &str) -> Result<RefreshPolicy, String> {
-    if policy == "manual" {
-        return Ok(RefreshPolicy::Manual);
-    }
-    if let Some(n) = policy.strip_prefix("every=") {
-        return Ok(RefreshPolicy::EveryNTuples(
-            n.parse().map_err(|_| format!("bad policy `{policy}`"))?,
-        ));
-    }
-    if let Some(f) = policy.strip_prefix("fraction=") {
-        return Ok(RefreshPolicy::DirtyFraction(
-            f.parse().map_err(|_| format!("bad policy `{policy}`"))?,
-        ));
-    }
-    Err(format!("unknown policy `{policy}` (want manual, every=N or fraction=F)"))
+    cli::run_node(server.addr(), server.shutdown_trigger(), || {
+        server.wait().map(drop).map_err(|e| e.to_string())
+    })
 }
 
 /// The integration probe: drives every protocol method against a live
@@ -436,9 +224,24 @@ fn probe(args: &[String]) -> Result<(), String> {
                 server_stats.dense_evals
             ));
         }
+        // `explain` resolves its marginals through the same path.
+        client
+            .explain(&[(attr0, &values0[0]), (attr1, &values1[0])], &[(attr2, &values2[0])])
+            .map_err(|e| format!("factored explain: {e}"))?;
+        let after_explain =
+            client.server_stats().map_err(|e| format!("server stats after explain: {e}"))?;
+        if after_explain.factored_evals <= server_stats.factored_evals {
+            return Err("explain was not answered by factored evaluation".to_string());
+        }
+        if after_explain.dense_evals > 0 {
+            return Err(format!(
+                "explain took the dense-joint walk {} times on a factored snapshot",
+                after_explain.dense_evals
+            ));
+        }
         println!(
             "probe: factored path ok ({} factored evals, elimination width {})",
-            server_stats.factored_evals, server_stats.elimination_width_max
+            after_explain.factored_evals, after_explain.elimination_width_max
         );
     }
 

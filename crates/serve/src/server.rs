@@ -58,8 +58,9 @@ use crate::queue::{
 };
 use crate::watch::ChangeWatch;
 use pka_contingency::{Assignment, Schema};
-use pka_core::{KnowledgeBase, Query};
-use pka_expert::explain_query;
+use pka_core::{KnowledgeBase, Query, QueryResult};
+use pka_expert::explain_query_with;
+use pka_maxent::EvalPath;
 use pka_net::{
     Action, Completion, LineMiddleware, LineService, MiddlewareStack, NetConfig, Reactor,
     ReactorHandle, ReactorMetrics,
@@ -482,8 +483,7 @@ pub struct ServerStats {
     /// index computation + lookup each).
     pub lattice_hits: u64,
     /// Marginal evaluations not covered by the lattice (varset above the
-    /// cutoff order); each one is also counted in exactly one of
-    /// `dense_evals` / `factored_evals` depending on which fallback ran.
+    /// cutoff order): `dense_evals + factored_evals`.
     pub lattice_misses: u64,
     /// Lattice misses answered by the dense-joint stride walk (snapshot at
     /// or below its dense ceiling).
@@ -590,9 +590,6 @@ struct Shared {
     /// Marginal evaluations answered by a snapshot's lattice table
     /// (one lookup each).
     lattice_hits: AtomicU64,
-    /// Marginal evaluations not covered by the lattice (varset above the
-    /// cutoff order).
-    lattice_misses: AtomicU64,
     /// Lattice misses served by the dense-joint stride walk.
     dense_evals: AtomicU64,
     /// Lattice misses served by factored (variable-elimination) evaluation.
@@ -621,7 +618,8 @@ fn server_stats(shared: &Shared) -> ServerStats {
         requests: shared.requests.load(Ordering::Relaxed),
         protocol_errors: shared.protocol_errors.load(Ordering::Relaxed),
         lattice_hits: shared.lattice_hits.load(Ordering::Relaxed),
-        lattice_misses: shared.lattice_misses.load(Ordering::Relaxed),
+        lattice_misses: shared.dense_evals.load(Ordering::Relaxed)
+            + shared.factored_evals.load(Ordering::Relaxed),
         dense_evals: shared.dense_evals.load(Ordering::Relaxed),
         factored_evals: shared.factored_evals.load(Ordering::Relaxed),
         elimination_width_max: shared.elimination_width_max.load(Ordering::Relaxed),
@@ -684,7 +682,6 @@ impl Server {
             requests: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
             lattice_hits: AtomicU64::new(0),
-            lattice_misses: AtomicU64::new(0),
             dense_evals: AtomicU64::new(0),
             factored_evals: AtomicU64::new(0),
             elimination_width_max: AtomicU64::new(0),
@@ -1375,13 +1372,13 @@ fn dispatch(
         }
         "query" => {
             let snapshot = shared.snapshots.load().ok_or_else(no_snapshot)?;
-            let evaluation = evaluate_query(
+            let answer = answer_query(
                 &snapshot,
                 param(request, "target"),
                 param(request, "evidence"),
                 shared,
             )?;
-            open(single_query_value(&snapshot, evaluation))
+            open(single_query_value(&snapshot, answer))
         }
         "query-batch" => {
             let snapshot = shared.snapshots.load().ok_or_else(no_snapshot)?;
@@ -1414,13 +1411,13 @@ fn dispatch(
                         }
                     };
                     let null = Value::Null;
-                    match evaluate_query(
+                    match answer_query(
                         &snapshot,
                         target.unwrap_or(&null),
                         evidence.unwrap_or(&null),
                         shared,
                     ) {
-                        Ok(evaluation) => batch_entry_value(evaluation),
+                        Ok(answer) => batch_entry_value(answer),
                         Err(e) => batch_error_value(e.code, &e.message),
                     }
                 })
@@ -1436,18 +1433,10 @@ fn dispatch(
             let snapshot = shared.snapshots.load().ok_or_else(no_snapshot)?;
             let kb = snapshot.knowledge_base();
             let schema = kb.schema();
-            let target = assignment_from_value(schema, param(request, "target"), "target")?;
-            let evidence = assignment_from_value(schema, param(request, "evidence"), "evidence")?;
-            if target.vars().is_empty() {
-                return Err(invalid_params("`target` must assign at least one attribute"));
-            }
-            let explanation =
-                explain_query(kb, &target, &evidence).map_err(|e| protocol::RequestError {
-                    code: ErrorCode::QueryError,
-                    message: e.to_string(),
-                    id: request.id.clone(),
-                    retry_after_ms: None,
-                })?;
+            let Query { target, evidence } =
+                question(kb, param(request, "target"), param(request, "evidence"))?;
+            let explanation = explain_query_with(kb, &target, &evidence, counted(kb, shared))
+                .map_err(|e| protocol::RequestError { id: request.id.clone(), ..query_error(e) })?;
             let steps = explanation
                 .steps
                 .iter()
@@ -1663,88 +1652,85 @@ fn dispatch(
     }
 }
 
-/// The numbers of one evaluated `P(target | evidence)` question.
-struct QueryEvaluation {
-    probability: f64,
-    joint_probability: f64,
-    evidence_probability: f64,
-    prior_probability: f64,
-    target: Assignment,
-    evidence: Assignment,
-}
-
-/// Evaluates one `P(target | evidence)` question against a snapshot —
-/// shared by `query` and every `query-batch` entry, so the two paths can
-/// never drift apart arithmetically.
-///
-/// Bayes' identity needs up to three marginal probabilities (evidence,
-/// target∪evidence, target); each resolves through
-/// [`snapshot_probability`] — a lattice-table lookup when the varset is
-/// covered, the dense-joint stride walk otherwise.
-fn evaluate_query(
-    snapshot: &Snapshot,
-    target_value: &Value,
-    evidence_value: &Value,
-    shared: &Shared,
-) -> Result<QueryEvaluation, protocol::RequestError> {
-    let schema = snapshot.knowledge_base().schema();
-    let target = assignment_from_value(schema, target_value, "target")?;
-    let evidence = assignment_from_value(schema, evidence_value, "evidence")?;
+/// Parses the `target` and `evidence` of a `query`, `query-batch` entry
+/// or `explain` against the knowledge base's schema.
+fn question(
+    kb: &KnowledgeBase,
+    target: &Value,
+    evidence: &Value,
+) -> Result<Query, protocol::RequestError> {
+    let target = assignment_from_value(kb.schema(), target, "target")?;
+    let evidence = assignment_from_value(kb.schema(), evidence, "evidence")?;
     if target.vars().is_empty() {
         return Err(invalid_params("`target` must assign at least one attribute"));
     }
-    let query_error = |message: String| protocol::RequestError {
+    Ok(Query::conditional(target, evidence))
+}
+
+/// Answers one `P(target | evidence)` question against a snapshot —
+/// shared by `query` and every `query-batch` entry, so the two paths can
+/// never drift apart arithmetically.  The answer is [`Query::answer`]
+/// (Bayes' identity, written once in `pka-core`) over the snapshot
+/// knowledge base's own evaluation path ([`counted`]).
+fn answer_query(
+    snapshot: &Snapshot,
+    target: &Value,
+    evidence: &Value,
+    shared: &Shared,
+) -> Result<QueryResult, protocol::RequestError> {
+    let kb = snapshot.knowledge_base();
+    question(kb, target, evidence)?.answer(kb.schema(), counted(kb, shared)).map_err(query_error)
+}
+
+/// A knowledge base's marginal probabilities ([`KnowledgeBase::evaluate`]),
+/// each counted by the path that answered it: `lattice_hits` for a table
+/// lookup, `dense_evals` for the dense-joint stride walk, `factored_evals`
+/// (plus the elimination-width gauge) for variable elimination.  The read
+/// stays wait-free: it touches only the immutable snapshot plus relaxed
+/// counters.
+fn counted<'a>(kb: &'a KnowledgeBase, shared: &'a Shared) -> impl Fn(&Assignment) -> f64 + 'a {
+    move |assignment| {
+        let (p, path) = kb.evaluate(assignment);
+        let counter = match path {
+            EvalPath::Lattice => &shared.lattice_hits,
+            EvalPath::Dense => &shared.dense_evals,
+            EvalPath::Factored => {
+                let width = kb.evaluator().elimination_width_max() as u64;
+                shared.elimination_width_max.fetch_max(width, Ordering::Relaxed);
+                &shared.factored_evals
+            }
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        p
+    }
+}
+
+/// A failed Bayes evaluation in wire form (`query-error`).
+fn query_error(error: pka_core::CoreError) -> protocol::RequestError {
+    protocol::RequestError {
         code: ErrorCode::QueryError,
-        message,
+        message: error.to_string(),
         id: Value::Null,
         retry_after_ms: None,
-    };
-    if !target.compatible_with(&evidence) {
-        return Err(query_error(
-            "target and evidence assign different values to a shared attribute".into(),
-        ));
     }
-    let evidence_probability = if evidence.vars().is_empty() {
-        1.0
-    } else {
-        snapshot_probability(snapshot, &evidence, shared)
-    };
-    if evidence_probability <= 0.0 {
-        return Err(query_error(format!(
-            "evidence {} has probability zero under the model",
-            evidence.describe(schema)
-        )));
-    }
-    let merged = target.merge(&evidence).expect("compatibility checked above");
-    let joint_probability = snapshot_probability(snapshot, &merged, shared);
-    let prior_probability = snapshot_probability(snapshot, &target, shared);
-    Ok(QueryEvaluation {
-        probability: joint_probability / evidence_probability,
-        joint_probability,
-        evidence_probability,
-        prior_probability,
-        target,
-        evidence,
-    })
 }
 
 /// The Bayes-identity fields every query answer carries.
-fn evaluation_fields(evaluation: &QueryEvaluation) -> [(&'static str, Value); 5] {
+fn evaluation_fields(answer: &QueryResult) -> [(&'static str, Value); 5] {
     [
-        ("probability", finite_value(evaluation.probability)),
-        ("joint_probability", finite_value(evaluation.joint_probability)),
-        ("evidence_probability", finite_value(evaluation.evidence_probability)),
-        ("prior_probability", finite_value(evaluation.prior_probability)),
-        ("lift", lift_value(evaluation.probability, evaluation.prior_probability)),
+        ("probability", finite_value(answer.probability)),
+        ("joint_probability", finite_value(answer.joint_probability)),
+        ("evidence_probability", finite_value(answer.evidence_probability)),
+        ("prior_probability", finite_value(answer.prior_probability)),
+        ("lift", lift_value(answer.probability, answer.prior_probability)),
     ]
 }
 
 /// The full `query` result: the evaluation plus the rendered description
 /// and the snapshot identity.
-fn single_query_value(snapshot: &Snapshot, evaluation: QueryEvaluation) -> Value {
-    let schema = snapshot.knowledge_base().schema();
-    let [p, jp, ep, pp, lift] = evaluation_fields(&evaluation);
-    let description = Query::conditional(evaluation.target, evaluation.evidence).describe(schema);
+fn single_query_value(snapshot: &Snapshot, answer: QueryResult) -> Value {
+    let [p, jp, ep, pp, lift] = evaluation_fields(&answer);
+    let description = answer.query.describe(snapshot.knowledge_base().schema());
     protocol::object([
         p,
         jp,
@@ -1768,43 +1754,9 @@ fn single_query_value(snapshot: &Snapshot, evaluation: QueryEvaluation) -> Value
 /// only re-renders the caller's own question), and the field names are
 /// dropped from the wire entirely — positional rows cut the per-entry
 /// bytes ~4× and spare both sides hundreds of key parses per line.
-fn batch_entry_value(evaluation: QueryEvaluation) -> Value {
-    let [p, jp, ep, pp, lift] = evaluation_fields(&evaluation);
+fn batch_entry_value(answer: QueryResult) -> Value {
+    let [p, jp, ep, pp, lift] = evaluation_fields(&answer);
     Value::Array(vec![p.1, jp.1, ep.1, pp.1, lift.1])
-}
-
-/// One marginal probability off a snapshot: the lattice-table lookup when
-/// the assignment's varset is covered (`lattice_hits`); otherwise a
-/// `lattice_misses` fallback — the dense-joint stride walk when the
-/// snapshot materialised a joint (`dense_evals`), a `FactorGraph::marginal`
-/// variable elimination when it did not (`factored_evals`, wide schemas
-/// above the dense ceiling).  Either way the read stays wait-free: both
-/// fallbacks touch only the immutable snapshot plus relaxed counters.
-fn snapshot_probability(snapshot: &Snapshot, assignment: &Assignment, shared: &Shared) -> f64 {
-    match snapshot.lattice().probability(assignment) {
-        Some(p) => {
-            shared.lattice_hits.fetch_add(1, Ordering::Relaxed);
-            p
-        }
-        None => {
-            shared.lattice_misses.fetch_add(1, Ordering::Relaxed);
-            match snapshot.joint() {
-                Some(joint) => {
-                    shared.dense_evals.fetch_add(1, Ordering::Relaxed);
-                    joint.probability(assignment)
-                }
-                None => {
-                    shared.factored_evals.fetch_add(1, Ordering::Relaxed);
-                    let graph = snapshot.factor_graph();
-                    let p = graph.probability(assignment);
-                    shared
-                        .elimination_width_max
-                        .fetch_max(graph.elimination_width_max() as u64, Ordering::Relaxed);
-                    p
-                }
-            }
-        }
-    }
 }
 
 /// One failed `query-batch` entry, in wire form: the same `{code, message}`

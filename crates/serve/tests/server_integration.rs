@@ -231,3 +231,41 @@ fn concurrent_ingest_and_queries_match_one_shot_acquisition() {
     let engine = server.shutdown().unwrap();
     assert_eq!(engine.total_ingested(), full_table.total());
 }
+
+/// `explain` resolves its marginals through the same counted path as
+/// `query`: on a dense survey snapshot an order-3 marginal misses the
+/// default order-2 lattice, takes the dense walk, shows up in
+/// `lattice_misses`/`dense_evals`, and the explained posterior is the
+/// queried probability bit for bit.
+#[test]
+fn explain_takes_the_query_path_and_is_counted() {
+    let full = pka_datagen::smoking::dataset();
+    let config =
+        ServeConfig::new().with_stream(StreamConfig::new().with_policy(RefreshPolicy::Manual));
+    let server = Server::start(full.shared_schema(), config).unwrap();
+    let mut client = LineClient::connect(server.addr()).unwrap();
+    let rows: Vec<Vec<usize>> = full.iter().map(|s| s.values().to_vec()).collect();
+    client.ingest(&rows).unwrap();
+    client.refresh().unwrap();
+
+    let smoker = ("smoking", "smoker");
+    let cases: [pka_serve::NamedQuery; 2] = [
+        (&[smoker, ("cancer", "yes"), ("family-history", "yes")], &[]),
+        (&[smoker, ("cancer", "yes")], &[("family-history", "no")]),
+    ];
+    for (target, evidence) in cases {
+        let before = client.server_stats().unwrap();
+        let explained = client.explain(target, evidence).unwrap();
+        let after = client.server_stats().unwrap();
+        assert!(after.lattice_misses > before.lattice_misses, "{before:?} -> {after:?}");
+        assert!(after.dense_evals > before.dense_evals, "{before:?} -> {after:?}");
+        assert_eq!(after.factored_evals, 0);
+        assert_eq!(after.lattice_misses, after.dense_evals + after.factored_evals);
+
+        let queried = client.query(target, evidence).unwrap();
+        let posterior = explained.get("posterior").and_then(|v| v.as_f64()).unwrap();
+        assert_eq!(posterior.to_bits(), queried.probability.to_bits(), "{target:?} | {evidence:?}");
+    }
+    drop(client);
+    server.shutdown().unwrap();
+}

@@ -15,7 +15,7 @@
 use pka_contingency::Assignment;
 use pka_core::{Acquisition, AcquisitionConfig};
 use pka_datagen::{sampler::seeded_rng, WideExperiment};
-use pka_maxent::{ConvergenceCriteria, FactorGraph};
+use pka_maxent::ConvergenceCriteria;
 use pka_serve::{LineClient, ServeConfig, Server};
 use pka_stream::{RefreshPolicy, StreamConfig};
 use std::sync::Arc;
@@ -56,10 +56,11 @@ fn twenty_attribute_schema_is_served_without_a_dense_joint() {
     assert_eq!(refit.observations, SAMPLES);
 
     // Factored ground truth: the same deterministic acquisition run
-    // locally, evaluated by variable elimination (2^20 cells, so the
-    // ground truth itself never goes dense either).
-    let one_shot = Acquisition::new(wide_config()).run(&dataset.to_table()).unwrap();
-    let truth = FactorGraph::from_model(one_shot.knowledge_base.model());
+    // locally, with no lattice, evaluated by variable elimination (2^20
+    // cells is past the default dense ceiling, so the ground truth itself
+    // never goes dense either).
+    let truth = Acquisition::new(wide_config()).run(&dataset.to_table()).unwrap().knowledge_base;
+    assert!(truth.lattice().is_none() && truth.evaluator().graph().is_some());
 
     // Covered questions (order ≤ 2, lattice hits) and uncovered ones
     // (order 3, lattice misses that must route through the factored

@@ -561,8 +561,9 @@ impl StreamingEngine {
     /// The payload is treated as hostile until proven otherwise: the wire
     /// format stamp, schema identity, metadata consistency and the model's
     /// probability mass are all checked before anything is published.  The
-    /// joint distribution and marginal lattice are rebuilt locally at
-    /// publish — exactly what a local refit would have materialised.
+    /// evaluator and marginal lattice are rebuilt locally — exactly what a
+    /// local refit would have materialised — and the mass check reads the
+    /// evaluator, so the dense joint is built once.
     pub fn apply_synced_snapshot(
         &mut self,
         meta: &SnapshotMeta,
@@ -587,42 +588,18 @@ impl StreamingEngine {
         if meta.version <= current {
             return Ok(SyncReport { applied: false, version: current });
         }
-        let dense_ceiling = self.acquisition.config().dense_ceiling;
-        if knowledge_base.schema().cell_count() <= dense_ceiling {
-            let joint = knowledge_base.joint();
-            let mass: f64 = joint.probabilities().iter().sum();
-            if joint.probabilities().iter().any(|p| !p.is_finite() || *p < 0.0)
-                || (mass - 1.0).abs() > 1e-6
-            {
-                return Err(StreamError::InvalidConfig {
-                    reason: format!(
-                        "synced knowledge base does not define a probability distribution \
-                         (mass {mass})"
-                    ),
-                });
-            }
-        } else {
-            // Above the ceiling the dense joint is never materialised; the
-            // partition function (one variable elimination) carries the same
-            // sanity signal.
-            let z = knowledge_base.factor_graph().partition();
-            if !z.is_finite() || z <= 0.0 {
-                return Err(StreamError::InvalidConfig {
-                    reason: format!(
-                        "synced knowledge base does not define a probability distribution \
-                         (partition {z})"
-                    ),
-                });
-            }
-        }
-        self.handle.publish(Snapshot::with_lattice_order_and_ceiling(
+        let snapshot = Snapshot::with_lattice_order_and_ceiling(
             knowledge_base,
             meta.version,
             meta.observations,
             meta.warm_started,
             self.lattice_order,
-            dense_ceiling,
-        ));
+            self.acquisition.config().dense_ceiling,
+        );
+        snapshot.knowledge_base().evaluator().check().map_err(|e| StreamError::InvalidConfig {
+            reason: format!("synced knowledge base {e}"),
+        })?;
+        self.handle.publish(snapshot);
         self.fitted = meta.observations;
         // Keep local version numbering ahead of the synced stream so a
         // hypothetical local refit on this engine could never regress the

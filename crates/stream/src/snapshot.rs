@@ -24,30 +24,26 @@ use pka_maxent::{
     FactorGraph, JointDistribution, MarginalLattice, DEFAULT_DENSE_CEILING, DEFAULT_LATTICE_ORDER,
 };
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// One published, immutable state of the streaming knowledge base.
 ///
-/// Beyond the knowledge base itself, a snapshot carries the model's
-/// **factor graph** (the Appendix-B sum-of-products form), the **marginal
-/// lattice** (every marginal table up to a cutoff order, default
-/// [`DEFAULT_LATTICE_ORDER`]), and — only when the schema's cell count is
-/// at or below the dense ceiling — the **dense joint distribution**, all
-/// materialised once at publish time.  Query serving answers any
-/// assignment whose variable set the lattice covers with one table lookup;
-/// other assignments fall back to a stride walk over the dense joint when
-/// it exists, or to a [`FactorGraph::marginal`] elimination when it does
-/// not.  Above the ceiling the lattice itself is built by eliminating down
-/// to each planned varset, so publishing a wide-schema snapshot never
-/// allocates `O(total cells)`.  A snapshot rebuilt from decayed or
-/// re-merged counts simply rebuilds these caches at publish, so staleness
-/// policies never have to reason about them.
+/// The carried knowledge base is published **evaluated**
+/// ([`KnowledgeBase::with_evaluation`]): its model's evaluator — the dense
+/// joint at or below the dense ceiling, the factor graph above it — and
+/// the **marginal lattice** (every marginal table up to a cutoff order,
+/// default [`DEFAULT_LATTICE_ORDER`]) built from that evaluator are
+/// materialised once at publish time.  Every query, in process or over the
+/// wire, resolves through `knowledge_base().evaluate`: one table lookup
+/// when the lattice covers the assignment's variable set, the evaluator's
+/// stride walk or elimination otherwise.  Above the ceiling nothing is
+/// ever `O(total cells)`.  A snapshot rebuilt from decayed or re-merged
+/// counts simply rebuilds these caches at publish, so staleness policies
+/// never have to reason about them.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     knowledge_base: KnowledgeBase,
-    joint: Option<JointDistribution>,
-    graph: Arc<FactorGraph>,
-    lattice: Arc<MarginalLattice>,
     version: u64,
     observations: u64,
     warm_started: bool,
@@ -76,75 +72,46 @@ pub struct SnapshotMeta {
 }
 
 impl Snapshot {
-    /// Assembles a snapshot with the default lattice order.  Normally done
-    /// by the engine's refresh; public so replication layers (and stress
-    /// tests) can publish snapshots they received or rebuilt themselves.
+    /// Assembles a snapshot with the default lattice order and dense
+    /// ceiling.  Normally done by the engine's refresh; public so
+    /// replication layers (and stress tests) can publish snapshots they
+    /// received or rebuilt themselves.
     pub fn new(
         knowledge_base: KnowledgeBase,
         version: u64,
         observations: u64,
         warm_started: bool,
     ) -> Self {
-        Self::with_lattice_order(
-            knowledge_base,
-            version,
-            observations,
-            warm_started,
-            DEFAULT_LATTICE_ORDER,
-        )
-    }
-
-    /// Assembles a snapshot, materialising the marginal lattice up to
-    /// `lattice_order`, with the default dense ceiling (see
-    /// [`Snapshot::with_lattice_order_and_ceiling`]).
-    pub fn with_lattice_order(
-        knowledge_base: KnowledgeBase,
-        version: u64,
-        observations: u64,
-        warm_started: bool,
-        lattice_order: usize,
-    ) -> Self {
         Self::with_lattice_order_and_ceiling(
             knowledge_base,
             version,
             observations,
             warm_started,
-            lattice_order,
+            DEFAULT_LATTICE_ORDER,
             DEFAULT_DENSE_CEILING,
         )
     }
 
-    /// Assembles a snapshot, materialising the marginal lattice up to
-    /// `lattice_order`.  At or below `dense_ceiling` joint cells the
-    /// publish-time cost is one dense-joint build plus the lattice
-    /// summation; above it no dense joint is ever allocated — the lattice
-    /// is built by variable elimination over the model's factor graph.
-    /// Both the lattice and the factor graph are attached to the carried
-    /// knowledge base, so in-process `knowledge_base().probability` calls
-    /// take the same paths queries do.
+    /// Assembles a snapshot, materialising the model's evaluator for
+    /// `dense_ceiling` and the marginal lattice up to `lattice_order` on the
+    /// carried knowledge base.  At or below the ceiling the publish-time
+    /// cost is one dense-joint build plus the lattice summation; above it
+    /// no dense joint is ever allocated — the lattice is built by variable
+    /// elimination over the model's factor graph.
     pub fn with_lattice_order_and_ceiling(
-        mut knowledge_base: KnowledgeBase,
+        knowledge_base: KnowledgeBase,
         version: u64,
         observations: u64,
         warm_started: bool,
         lattice_order: usize,
         dense_ceiling: usize,
     ) -> Self {
-        let graph = Arc::new(FactorGraph::from_model(knowledge_base.model()));
-        let (joint, lattice) = if knowledge_base.schema().cell_count() > dense_ceiling {
-            (None, Arc::new(MarginalLattice::build_factored(&graph, lattice_order)))
-        } else {
-            let joint = knowledge_base.joint();
-            let lattice = Arc::new(MarginalLattice::build(&joint, lattice_order));
-            (Some(joint), lattice)
-        };
-        knowledge_base
-            .attach_lattice(Arc::clone(&lattice))
-            .expect("lattice was built from this knowledge base's own model");
-        knowledge_base
-            .attach_factor_graph(Arc::clone(&graph))
-            .expect("graph was built from this knowledge base's own model");
-        Self { knowledge_base, joint, graph, lattice, version, observations, warm_started }
+        Self {
+            knowledge_base: knowledge_base.with_evaluation(lattice_order, dense_ceiling),
+            version,
+            observations,
+            warm_started,
+        }
     }
 
     /// The acquired knowledge base: query it freely, it never changes.
@@ -152,26 +119,23 @@ impl Snapshot {
         &self.knowledge_base
     }
 
-    /// The dense joint distribution of the knowledge base, materialised at
-    /// publish time — the fallback path for queries the lattice does not
-    /// cover.  `None` when the schema is above the snapshot's dense
-    /// ceiling; such queries go through [`Snapshot::factor_graph`] instead.
+    /// The dense joint distribution materialised at publish time — `None`
+    /// when the schema is above the snapshot's dense ceiling.
     pub fn joint(&self) -> Option<&JointDistribution> {
-        self.joint.as_ref()
+        self.knowledge_base.evaluator().joint()
     }
 
-    /// The model's factor graph, built once at publish time — the fallback
-    /// evaluation path when no dense joint is materialised, and the source
-    /// the factored lattice build eliminates from.
-    pub fn factor_graph(&self) -> &Arc<FactorGraph> {
-        &self.graph
+    /// The model's factor graph: the one published when the snapshot is
+    /// factored, built on the spot otherwise.
+    pub fn factor_graph(&self) -> Cow<'_, FactorGraph> {
+        self.knowledge_base.factor_graph()
     }
 
     /// The marginal lattice materialised at publish time — the fast path
     /// for every marginal/conditional query of order at most the lattice's
     /// cutoff.
     pub fn lattice(&self) -> &MarginalLattice {
-        &self.lattice
+        self.knowledge_base.lattice().expect("snapshots are published with a lattice")
     }
 
     /// Monotonically increasing publication number (1 for the first fit).
@@ -304,12 +268,12 @@ mod tests {
         let from_lattice = s.lattice().probability(&a).unwrap();
         let joint = s.joint().expect("4 cells is far below the dense ceiling");
         assert!((from_lattice - joint.probability(&a)).abs() < 1e-12);
-        // The carried knowledge base shares the same lattice.
-        let kb_lattice = s.knowledge_base().lattice().expect("attached at publish");
-        assert!((kb_lattice.probability(&a).unwrap() - from_lattice).abs() < 1e-15);
+        // The carried knowledge base answers from the same lattice.
+        assert_eq!(s.knowledge_base().evaluate(&a), (from_lattice, pka_maxent::EvalPath::Lattice));
         // A custom order is honoured (order 1: pairs fall back).
         let kb = s.knowledge_base().clone();
-        let shallow = Snapshot::with_lattice_order(kb, 2, 100, false, 1);
+        let shallow =
+            Snapshot::with_lattice_order_and_ceiling(kb, 2, 100, false, 1, DEFAULT_DENSE_CEILING);
         assert_eq!(shallow.lattice().max_order(), 1);
         assert_eq!(shallow.lattice().probability(&a), None);
         assert!(shallow.lattice().probability(&Assignment::single(0, 0)).is_some());
