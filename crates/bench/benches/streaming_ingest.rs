@@ -1,13 +1,15 @@
 //! Streaming-engine benchmarks: sharded ingestion throughput vs one-shot
-//! dataset construction, and warm- vs cold-started refit cost.
+//! dataset construction, warm- vs cold-started refit cost, and the
+//! steady-state warm refit split into its phases.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pka_contingency::{Dataset, Sample};
 use pka_core::{Acquisition, AcquisitionConfig};
 use pka_datagen::sampler::{sample_dataset, seeded_rng};
-use pka_stream::{ingest, RefreshPolicy, StreamConfig, StreamingEngine};
+use pka_stream::{ingest, RefitPhases, RefreshPolicy, StreamConfig, StreamingEngine};
 use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Duration;
 
 const STREAM_LEN: u64 = 200_000;
 
@@ -106,5 +108,52 @@ fn engine_stream(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, ingest_throughput, refit_latency, engine_stream);
+/// The steady-state refit of a live coordinator: 20k survey rows
+/// preloaded, then 50 warm refits, each over a fresh 64-row delta.  Prints
+/// the p50 refit and the p50 of each phase; its gate is that every refit's
+/// published model honours every constraint to 1e-6.
+fn warm_refit_probe(_c: &mut Criterion) {
+    const PRELOAD: usize = 20_000;
+    const REFITS: usize = 50;
+    const DELTA: usize = 64;
+    let dataset = survey_samples((PRELOAD + REFITS * DELTA) as u64);
+    let rows: Vec<&[usize]> = dataset.samples().iter().map(Sample::values).collect();
+    let config = StreamConfig::new().with_policy(RefreshPolicy::Manual);
+    let mut engine = StreamingEngine::new(dataset.shared_schema(), config).unwrap();
+    engine.ingest_batch(&rows[..PRELOAD]).unwrap();
+    engine.refresh().unwrap();
+
+    let mut walls = Vec::with_capacity(REFITS);
+    let mut phases: Vec<RefitPhases> = Vec::with_capacity(REFITS);
+    for delta in rows[PRELOAD..].chunks(DELTA) {
+        engine.ingest_batch(delta).unwrap();
+        let report = engine.refresh().unwrap();
+        assert!(report.warm_started);
+        let snapshot = engine.snapshot().unwrap();
+        let kb = snapshot.knowledge_base();
+        for c in kb.constraints().constraints() {
+            let gap = (kb.probability(&c.assignment) - c.probability).abs();
+            assert!(gap <= 1e-6, "refit {} misses {:?} by {gap:e}", report.version, c.assignment);
+        }
+        walls.push(report.wall_time);
+        phases.push(report.phases);
+    }
+    let p50 = |mut xs: Vec<Duration>| {
+        xs.sort_unstable();
+        xs[xs.len() / 2].as_secs_f64() * 1e3
+    };
+    let phase = |f: fn(&RefitPhases) -> Duration| p50(phases.iter().map(f).collect());
+    eprintln!(
+        "  warm refit p50 {:.3} ms over {REFITS} refits; phase p50s (ms): merge {:.3}, \
+         scoring {:.3}, fit {:.3}, lattice {:.3}, publish {:.3}",
+        p50(walls),
+        phase(|p| p.merge),
+        phase(|p| p.scoring),
+        phase(|p| p.fit),
+        phase(|p| p.lattice),
+        phase(|p| p.publish),
+    );
+}
+
+criterion_group!(benches, ingest_throughput, refit_latency, engine_stream, warm_refit_probe);
 criterion_main!(benches);

@@ -70,7 +70,7 @@ pub use config::Assignment;
 pub use dataset::Dataset;
 pub use error::ContingencyError;
 pub use lattice::{lattice_plan, LatticeParent, LatticeStep};
-pub use marginal::Marginal;
+pub use marginal::{Marginal, MarginalTables};
 pub use sample::Sample;
 pub use schema::Schema;
 pub use table::ContingencyTable;

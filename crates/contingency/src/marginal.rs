@@ -4,6 +4,7 @@ use crate::config::Assignment;
 use crate::table::ContingencyTable;
 use crate::varset::VarSet;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// The counts of a contingency table summed down to a subset of the
 /// attributes.
@@ -28,25 +29,45 @@ impl Marginal {
     /// Computes the marginal of a table over `vars` by summing out all other
     /// attributes (Eqs. 1–5).
     pub fn from_table(table: &ContingencyTable, vars: VarSet) -> Self {
+        Self::all_from_table(table, [vars]).pop().expect("one marginal per variable set")
+    }
+
+    /// The marginals over every variable set in `varsets`, in order, built in
+    /// one pass over the table's observed cells: each nonzero cell is decoded
+    /// once and added into every marginal, so the cost is
+    /// `O(observed cells × Σ orders)` however large the joint is.
+    pub fn all_from_table(
+        table: &ContingencyTable,
+        varsets: impl IntoIterator<Item = VarSet>,
+    ) -> Vec<Self> {
         let schema = table.schema();
-        let vars = vars.intersection(schema.all_vars());
-        let members: Vec<usize> = vars.iter().collect();
-        let cards: Vec<usize> =
-            members.iter().map(|&i| schema.cardinality(i).expect("member in schema")).collect();
-        let cells: usize = cards.iter().product();
-        let mut counts = vec![0u64; cells.max(1)];
-        for (idx, &c) in table.counts().iter().enumerate() {
-            if c == 0 {
-                continue;
+        let mut marginals: Vec<Marginal> = varsets
+            .into_iter()
+            .map(|vars| {
+                let vars = vars.intersection(schema.all_vars());
+                let members: Vec<usize> = vars.iter().collect();
+                let cards: Vec<usize> = members
+                    .iter()
+                    .map(|&i| schema.cardinality(i).expect("member in schema"))
+                    .collect();
+                let counts = vec![0u64; schema.cell_count_of(vars)];
+                Self { vars, members, cards, counts, total: table.total() }
+            })
+            .collect();
+        let mut values = vec![0usize; schema.len()];
+        for &idx in table.occupied() {
+            let mut rest = idx;
+            for (value, &stride) in values.iter_mut().zip(schema.strides()) {
+                *value = rest / stride;
+                rest %= stride;
             }
-            let values = schema.cell_values(idx);
-            let mut m = 0usize;
-            for (pos, &attr) in members.iter().enumerate() {
-                m = m * cards[pos] + values[attr];
+            let count = table.counts()[idx];
+            for marginal in &mut marginals {
+                let m = marginal.index_of_full(&values);
+                marginal.counts[m] += count;
             }
-            counts[m] += c;
         }
-        Self { vars, members, cards, counts, total: table.total() }
+        marginals
     }
 
     /// The attribute subset this marginal is over.
@@ -126,12 +147,65 @@ impl Marginal {
         self.counts.iter().sum()
     }
 
+    /// The marginal counts in row-major order over the member attributes
+    /// (last member fastest) — the order of
+    /// [`Schema::configurations`](crate::Schema::configurations).
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// Cardinalities of the member attributes, in ascending attribute order.
+    pub fn cardinalities(&self) -> &[usize] {
+        &self.cards
+    }
+
+    /// Index of the marginal cell a full value assignment falls into.
+    fn index_of_full(&self, full_values: &[usize]) -> usize {
+        let mut m = 0usize;
+        for (&attr, &card) in self.members.iter().zip(&self.cards) {
+            m = m * card + full_values[attr];
+        }
+        m
+    }
+
     fn index_of(&self, values: &[usize]) -> usize {
         let mut m = 0usize;
         for (pos, &v) in values.iter().enumerate() {
             m = m * self.cards[pos] + v;
         }
         m
+    }
+}
+
+/// Observed marginal tables over many variable sets, keyed by set and
+/// tabulated in one pass by [`Marginal::all_from_table`] — the memo's
+/// Figure 2 margins, computed once so that every later count is a lookup.
+#[derive(Debug, Clone)]
+pub struct MarginalTables {
+    total: u64,
+    tables: HashMap<VarSet, Marginal>,
+}
+
+impl MarginalTables {
+    /// The marginal over every variable set of order `1..=max_order`.
+    pub fn up_to_order(table: &ContingencyTable, max_order: usize) -> Self {
+        let all = table.schema().all_vars();
+        let varsets = (1..=max_order.min(all.len())).flat_map(|k| all.subsets_of_size(k));
+        let tables = Marginal::all_from_table(table, varsets)
+            .into_iter()
+            .map(|marginal| (marginal.vars(), marginal))
+            .collect();
+        Self { total: table.total(), tables }
+    }
+
+    /// The marginal over `vars`, if it was tabulated.
+    pub fn get(&self, vars: VarSet) -> Option<&Marginal> {
+        self.tables.get(&vars)
+    }
+
+    /// The grand total `N`.
+    pub fn total(&self) -> u64 {
+        self.total
     }
 }
 
@@ -223,6 +297,20 @@ mod tests {
             assert_eq!(c, t.count_matching(&a));
         }
         assert_eq!(m.assignments().count(), 6);
+    }
+
+    #[test]
+    fn tables_up_to_an_order_match_count_matching() {
+        let t = paper_table();
+        let tables = MarginalTables::up_to_order(&t, 2);
+        assert_eq!(tables.total(), 3428);
+        assert!(tables.get(VarSet::from_indices([0, 1, 2])).is_none());
+        for vars in [VarSet::singleton(2), VarSet::from_indices([0, 2])] {
+            let m = tables.get(vars).unwrap();
+            for (index, values) in t.schema().configurations(vars).enumerate() {
+                assert_eq!(m.counts()[index], t.count_matching(&Assignment::new(vars, values)));
+            }
+        }
     }
 
     proptest! {

@@ -225,6 +225,15 @@ impl Schema {
         ConfigIter { schema: self, members, next: 0, total }
     }
 
+    /// Position of a partial assignment's `values` (one per member of `vars`,
+    /// ascending) in [`Schema::configurations`]`(vars)` — the row-major index
+    /// marginal tables over `vars` are laid out by.
+    pub fn config_index(&self, vars: VarSet, values: &[usize]) -> usize {
+        vars.iter()
+            .zip(values)
+            .fold(0, |index, (attr, &v)| index * self.attributes[attr].cardinality() + v)
+    }
+
     /// Row-major dense-index strides, one per attribute (the last attribute
     /// varies fastest): `cell_index(values) = Σ values[i] · strides[i]`.
     /// Exposed so dense-vector consumers can enumerate marginal cells
@@ -594,6 +603,9 @@ mod tests {
             let vars = VarSet::from_bits(mask).intersection(s.all_vars());
             let configs: Vec<_> = s.configurations(vars).collect();
             prop_assert_eq!(configs.len(), s.cell_count_of(vars));
+            for (index, values) in configs.iter().enumerate() {
+                prop_assert_eq!(s.config_index(vars, values), index);
+            }
         }
     }
 }

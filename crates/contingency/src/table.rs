@@ -120,6 +120,11 @@ impl ContingencyTable {
         self.counts.len()
     }
 
+    /// Indices of every nonzero cell, in first-observation order.
+    pub(crate) fn occupied(&self) -> &[usize] {
+        &self.occupied
+    }
+
     /// Adds one observation with the given full value assignment.
     pub fn increment(&mut self, values: &[usize]) -> Result<()> {
         self.increment_by(values, 1)

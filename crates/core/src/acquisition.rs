@@ -6,9 +6,10 @@ use crate::error::CoreError;
 use crate::knowledge_base::KnowledgeBase;
 use crate::trace::{AcquisitionTrace, CellEvaluation, RoundTrace};
 use crate::Result;
-use pka_contingency::{Assignment, ContingencyTable, VarSet};
+use pka_contingency::{Assignment, ContingencyTable, MarginalTables, VarSet};
 use pka_maxent::{ConstraintSet, Evaluator, IncidenceCache, LogLinearModel, Solver};
-use pka_significance::{CandidateCell, MessageLengthTest, RangeContext};
+use pka_significance::{CandidateCell, KnownCells, MessageLengthTest, RangeContext};
+use std::time::{Duration, Instant};
 
 /// Factors of a warm-start seed model are raised to at least this value so
 /// cells a previous boundary fit drove to zero stay recoverable (see
@@ -31,6 +32,19 @@ pub struct AcquisitionOutcome {
     pub knowledge_base: KnowledgeBase,
     /// The per-round history (Table 1 / Table 2 style records).
     pub trace: AcquisitionTrace,
+    /// Where the run's wall time went.
+    pub timings: AcquisitionTimings,
+}
+
+/// The wall time of one run, split between the solver and everything else.
+#[derive(Debug, Clone, Copy)]
+pub struct AcquisitionTimings {
+    /// Everything but the solver: tabulating the observed marginals,
+    /// evaluating the model's marginals and scoring every candidate.
+    pub scoring: Duration,
+    /// The solver fits (the initial one plus one per promoted cell) and
+    /// the final renormalisation of the fitted model.
+    pub fit: Duration,
 }
 
 impl Acquisition {
@@ -101,10 +115,16 @@ impl Acquisition {
     ///    next to the solution instead of at the uniform model.
     ///
     /// The search then continues normally and may promote further cells.
-    /// For a consistent table the fixed point is the same knowledge base a
-    /// cold [`Acquisition::run`] would reach (the maximum-entropy solution
-    /// is unique per constraint set); the warm start only reduces the
-    /// solver work needed to get there.
+    /// The result is not in general the knowledge base a cold
+    /// [`Acquisition::run`] over the same table would reach: the carried
+    /// cells count as found, which changes the model-indexing term of m2
+    /// and the Eq. 41 ranges, so the search can stop before cells a cold
+    /// run selects (ROADMAP item 2 measured this on 5 of 8 survey seeds).
+    /// What does hold is that every carried and promoted constraint is
+    /// re-read from the new table and honoured by the fit, and that for a
+    /// fixed constraint set the maximum-entropy solution is unique, so the
+    /// warm seed changes only the solver work, not the fitted model beyond
+    /// solver tolerance.
     pub fn run_warm_started(
         &self,
         table: &ContingencyTable,
@@ -166,8 +186,16 @@ impl Acquisition {
             }
         }
 
+        let started = Instant::now();
+        let mut fit_time = Duration::ZERO;
         let solver =
             Solver::new(self.config.convergence).with_dense_ceiling(self.config.dense_ceiling);
+        let mut fit = |model: LogLinearModel, constraints: &ConstraintSet| {
+            let fit_started = Instant::now();
+            let fitted = solver.fit_from_cached(model, constraints, cache);
+            fit_time += fit_started.elapsed();
+            fitted
+        };
         let test = MessageLengthTest::new(self.config.priors);
 
         // Step 1: first-order marginals are always constraints (Eq. 48) and
@@ -177,18 +205,26 @@ impl Acquisition {
         for prior in prior_constraints {
             constraints.add_from_table(table, prior.clone())?;
         }
-        let (mut model, initial_fit) = match initial_model {
-            Some(previous) => solver.fit_from_cached(previous, &constraints, cache)?,
-            None => solver.fit_from_cached(
-                LogLinearModel::uniform(constraints.shared_schema()),
-                &constraints,
-                cache,
-            )?,
-        };
+        let seed =
+            initial_model.unwrap_or_else(|| LogLinearModel::uniform(constraints.shared_schema()));
+        let (mut model, initial_fit) = fit(seed, &constraints)?;
 
         let mut trace = AcquisitionTrace { rounds: Vec::new(), initial_fit: Some(initial_fit) };
 
         let max_order = self.config.effective_max_order(schema.len());
+
+        // Every count the search reads — a candidate's own and the known
+        // marginals that bound it (Eq. 41) — comes from these tables, built
+        // in one pass over the observed cells.  Candidates at order k and
+        // their proper marginals span orders 1..=max_order.
+        let tables = MarginalTables::up_to_order(table, max_order);
+        // The higher-order constraint cells, indexed for Eq. 41: at order k
+        // the ones below k are the known marginals and those at k are the
+        // cells already found at this order.
+        let mut known = KnownCells::from_cells(
+            &schema,
+            constraints.higher_order().map(|constraint| &constraint.assignment),
+        );
 
         // Step 2: search each order in turn.
         for order in 2..=max_order {
@@ -203,19 +239,17 @@ impl Acquisition {
             // carried over from a previous run) count as "found": they bound
             // the remaining cells (Eq. 41) and reduce the model-indexing term
             // of m2.
-            let mut found_at_order: Vec<Assignment> =
-                constraints.of_order(order).map(|c| c.assignment.clone()).collect();
+            let mut found_at_order = constraints.of_order(order).count();
 
             for round in 1..=cells_at_order {
-                if found_at_order.len() >= self.config.max_constraints_per_order {
+                if found_at_order >= self.config.max_constraints_per_order {
                     break;
                 }
-                if found_at_order.len() >= cells_at_order {
+                if found_at_order >= cells_at_order {
                     break;
                 }
 
-                let known_higher = constraints.higher_order_assignments();
-                let range_ctx = RangeContext::new(table, &known_higher, &found_at_order);
+                let range_ctx = RangeContext::new(&tables, &known, &known);
 
                 // One evaluator per round; every candidate varset then gets
                 // one marginal table — a pass over the model's dense image
@@ -226,18 +260,20 @@ impl Acquisition {
                 let mut evaluations: Vec<CellEvaluation> = Vec::new();
                 let mut best: Option<(usize, f64)> = None;
                 for &vars in &candidate_sets {
-                    // Marginal tables and `configurations` share the same
-                    // row-major layout, so the enumeration index doubles as
-                    // the table index.
+                    // Predicted marginals, observed marginals and
+                    // `configurations` share the same row-major layout, so
+                    // the enumeration index addresses all three.
                     let marginal = evaluator.marginal(vars);
+                    let counts = tables.get(vars).expect("tabulated up to max_order").counts();
+                    let ranges = range_ctx.ranges_over(vars);
                     for (config_index, values) in schema.configurations(vars).enumerate() {
-                        let assignment = Assignment::new(vars, values);
-                        if constraints.contains(&assignment) {
+                        if known.contains(vars, config_index) {
                             continue;
                         }
-                        let observed = table.count_matching(&assignment);
+                        let assignment = Assignment::new(vars, values);
+                        let observed = counts[config_index];
                         let predicted_p = marginal[config_index].clamp(0.0, 1.0);
-                        let range = range_ctx.range_of(&assignment);
+                        let range = ranges.range_of(config_index);
                         let lengths = test.evaluate(
                             &CandidateCell {
                                 assignment: assignment.clone(),
@@ -246,7 +282,7 @@ impl Acquisition {
                             },
                             table.total(),
                             cells_at_order,
-                            found_at_order.len(),
+                            found_at_order,
                             &range,
                         )?;
                         let evaluation = CellEvaluation {
@@ -298,9 +334,9 @@ impl Acquisition {
                 // from the current a-values (Figure 4).
                 let selected = evaluations[best_index].assignment.clone();
                 constraints.add_from_table(table, selected.clone())?;
-                found_at_order.push(selected.clone());
-                let (new_model, fit_report) =
-                    solver.fit_from_cached(model.clone(), &constraints, cache)?;
+                known.insert(&schema, &selected);
+                found_at_order += 1;
+                let (new_model, fit_report) = fit(model.clone(), &constraints)?;
                 model = new_model;
 
                 trace.rounds.push(RoundTrace {
@@ -320,9 +356,15 @@ impl Acquisition {
             }
         }
 
-        let knowledge_base =
-            KnowledgeBase::new(schema, constraints, normalized(model), table.total())?;
-        Ok(AcquisitionOutcome { knowledge_base, trace })
+        let normalize_started = Instant::now();
+        let model = normalized(model);
+        fit_time += normalize_started.elapsed();
+        let knowledge_base = KnowledgeBase::new(schema, constraints, model, table.total())?;
+        let timings = AcquisitionTimings {
+            scoring: started.elapsed().saturating_sub(fit_time),
+            fit: fit_time,
+        };
+        Ok(AcquisitionOutcome { knowledge_base, trace, timings })
     }
 }
 

@@ -33,7 +33,7 @@ pub mod rules;
 pub mod serialize;
 pub mod trace;
 
-pub use acquisition::{Acquisition, AcquisitionOutcome};
+pub use acquisition::{Acquisition, AcquisitionOutcome, AcquisitionTimings};
 pub use config::AcquisitionConfig;
 pub use error::CoreError;
 pub use knowledge_base::KnowledgeBase;

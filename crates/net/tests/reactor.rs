@@ -12,9 +12,12 @@ use std::time::{Duration, Instant};
 /// Echoes `echo <x>` lines synchronously; `defer <x>` lines are answered
 /// from a background worker thread (exercising the completion path);
 /// `bulk <n>` responds with an `n`-byte payload (exercising write
-/// backpressure); `bye` responds then closes.
+/// backpressure); `bye` responds then closes.  Every `defer` line is
+/// announced on `handed_tx` once its worker holds it, so a test can act
+/// on a request known to be in flight.
 struct EchoService {
     defer_tx: Mutex<mpsc::Sender<(String, Completion)>>,
+    handed_tx: Mutex<mpsc::Sender<()>>,
 }
 
 impl LineService for EchoService {
@@ -23,6 +26,8 @@ impl LineService for EchoService {
         if let Some(payload) = text.strip_prefix("defer ") {
             let tx = self.defer_tx.lock().unwrap();
             tx.send((payload.to_string(), completion)).unwrap();
+            // The receiver lives in the rig, which outlives the reactor.
+            let _ = self.handed_tx.lock().unwrap().send(());
             return Action::Deferred;
         }
         if let Some(size) = text.strip_prefix("bulk ") {
@@ -48,6 +53,8 @@ struct Rig {
     handle: ReactorHandle,
     addr: std::net::SocketAddr,
     metrics: Arc<ReactorMetrics>,
+    /// One message per `defer` line handed to the worker.
+    handed: mpsc::Receiver<()>,
     _worker: std::thread::JoinHandle<()>,
 }
 
@@ -65,12 +72,14 @@ fn boot(config: NetConfig, defer_delay: Duration) -> Rig {
             completion.respond(format!("deferred:{payload}"));
         }
     });
-    let service = Arc::new(EchoService { defer_tx: Mutex::new(defer_tx) });
+    let (handed_tx, handed) = mpsc::channel();
+    let service =
+        Arc::new(EchoService { defer_tx: Mutex::new(defer_tx), handed_tx: Mutex::new(handed_tx) });
     let config = config.normalized();
     let metrics = Arc::new(ReactorMetrics::new(config.loop_shards));
     let shutdown = Arc::new(AtomicBool::new(false));
     let handle = Reactor::start(listener, service, config, shutdown, Arc::clone(&metrics)).unwrap();
-    Rig { handle, addr, metrics, _worker: worker }
+    Rig { handle, addr, metrics, handed, _worker: worker }
 }
 
 fn connect(addr: std::net::SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
@@ -271,7 +280,7 @@ fn shutdown_drains_open_connections_and_joins() {
     let (mut reader, mut writer) = connect(rig.addr);
     // An engine-bound request in flight at shutdown still gets answered.
     writeln!(writer, "defer last").unwrap();
-    std::thread::sleep(Duration::from_millis(5));
+    rig.handed.recv_timeout(Duration::from_secs(5)).expect("the service never took the request");
     let handle = rig.handle;
     let start = Instant::now();
     handle.shutdown();

@@ -67,8 +67,9 @@ pub use client::{ClientConfig, LineClient, NamedQuery, QueryAnswer, ShardPullAns
 pub use error::ServeError;
 pub use protocol::{ErrorCode, Request, DEFAULT_MAX_LINE_BYTES};
 pub use server::{
-    DurabilityConfig, EngineStats, FabricRole, IngestSummary, RefitSummary, ServeConfig, Server,
-    ServerHandle, ServerStats, ShardPushSummary, ShutdownTrigger, SourceStat, SyncSummary,
+    DurabilityConfig, EngineStats, FabricRole, IngestSummary, RefitPhaseMicros, RefitSummary,
+    ServeConfig, Server, ServerHandle, ServerStats, ShardPushSummary, ShutdownTrigger, SourceStat,
+    SyncSummary,
 };
 pub use watch::ChangeWatch;
 

@@ -66,9 +66,9 @@ use pka_net::{
     ReactorHandle, ReactorMetrics,
 };
 use pka_stream::{
-    CountShard, FabricCheckpoint, FsyncPolicy, RefitOutcome, RefitReport, RemoteDelivery,
-    ShardJournal, Snapshot, SnapshotHandle, SnapshotMeta, StreamConfig, StreamError,
-    StreamingEngine, SyncReport, WIRE_FORMAT_VERSION,
+    CountShard, FabricCheckpoint, FsyncPolicy, RefitOutcome, RefitPhases, RefitReport,
+    RemoteDelivery, ShardJournal, Snapshot, SnapshotHandle, SnapshotMeta, StreamConfig,
+    StreamError, StreamingEngine, SyncReport, WIRE_FORMAT_VERSION,
 };
 use serde::{Deserialize, Serialize, Value};
 use std::net::SocketAddr;
@@ -437,6 +437,37 @@ pub struct EngineStats {
     pub max_push_age_ms: Option<u64>,
     /// Per-source standing of the shard-placement map, in name order.
     pub sources: Vec<SourceStat>,
+    /// Phase times of the last completed refit (`None` before the first).
+    pub last_refit: Option<RefitPhaseMicros>,
+}
+
+/// The phases of one refit, in microseconds (the `last_refit` object of a
+/// `stats` response; see [`RefitPhases`]).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct RefitPhaseMicros {
+    /// Merging the local shards and remote sources into one table.
+    pub merge_us: u64,
+    /// Tabulating observed marginals and scoring candidate cells.
+    pub scoring_us: u64,
+    /// Solver fits and the final renormalisation.
+    pub fit_us: u64,
+    /// Building the snapshot's marginal lattice.
+    pub lattice_us: u64,
+    /// Swapping the snapshot in for readers.
+    pub publish_us: u64,
+}
+
+impl RefitPhaseMicros {
+    fn from_phases(phases: RefitPhases) -> Self {
+        let us = |d: Duration| d.as_micros() as u64;
+        Self {
+            merge_us: us(phases.merge),
+            scoring_us: us(phases.scoring),
+            fit_us: us(phases.fit),
+            lattice_us: us(phases.lattice),
+            publish_us: us(phases.publish),
+        }
+    }
 }
 
 /// One remote source's standing, in wire form (the `sources` array of a
@@ -1184,6 +1215,7 @@ fn handle_command(
                 checkpoints_written: durability.checkpoints_written,
                 max_push_age_ms,
                 sources,
+                last_refit: engine.last_refit_phases().map(RefitPhaseMicros::from_phases),
             });
         }
         command @ EngineCommand::AbsorbShard { .. } => absorb_shard_batch(engine, vec![command]),

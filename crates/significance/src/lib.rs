@@ -39,7 +39,7 @@ pub mod normal;
 pub mod special;
 
 pub use binomial::Binomial;
-pub use bounds::{CellRange, RangeContext};
+pub use bounds::{CellRange, CellRanges, KnownCells, RangeContext};
 pub use chi_square::{chi_square_cell_test, chi_square_statistic, ChiSquareResult};
 pub use error::SignificanceError;
 pub use g_test::{g_statistic, g_test_cell, GTestResult};

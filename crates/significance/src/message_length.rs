@@ -197,8 +197,8 @@ impl MessageLengthTest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounds::RangeContext;
-    use pka_contingency::{Attribute, ContingencyTable, Schema};
+    use crate::bounds::{KnownCells, RangeContext};
+    use pka_contingency::{Attribute, ContingencyTable, MarginalTables, Schema};
     use proptest::prelude::*;
 
     fn paper_table() -> ContingencyTable {
@@ -221,7 +221,9 @@ mod tests {
     /// second-order candidate cells.
     fn evaluate_paper_cell(pairs: [(usize, usize); 2], predicted_p: f64) -> MessageLengths {
         let t = paper_table();
-        let ctx = RangeContext::new(&t, &[], &[]);
+        let observed = MarginalTables::up_to_order(&t, 2);
+        let none = KnownCells::new();
+        let ctx = RangeContext::new(&observed, &none, &none);
         let assignment = Assignment::from_pairs(pairs);
         let observed = t.count_matching(&assignment);
         let range = ctx.range_of(&assignment);
@@ -300,7 +302,9 @@ mod tests {
     #[test]
     fn evaluate_rejects_inconsistent_inputs() {
         let t = paper_table();
-        let ctx = RangeContext::new(&t, &[], &[]);
+        let observed = MarginalTables::up_to_order(&t, 2);
+        let none = KnownCells::new();
+        let ctx = RangeContext::new(&observed, &none, &none);
         let a = Assignment::from_pairs([(0, 0), (1, 0)]);
         let range = ctx.range_of(&a);
         let test = MessageLengthTest::default();

@@ -119,6 +119,27 @@ pub struct RefitReport {
     pub solver_iterations: usize,
     /// Wall-clock time of the refit.
     pub wall_time: Duration,
+    /// Where the refit's time went, phase by phase.
+    pub phases: RefitPhases,
+}
+
+/// The phases of one refit, in execution order.  `scoring + fit` is the
+/// acquisition run that produced the snapshot, which is most of
+/// [`RefitReport::wall_time`] (a warm run that fails and falls back to a
+/// cold one is in `wall_time` only).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RefitPhases {
+    /// Merging the local shards and remote sources into one table.
+    pub merge: Duration,
+    /// Tabulating observed marginals and scoring candidate cells.
+    pub scoring: Duration,
+    /// Solver fits (the initial one plus one per promoted cell) and the
+    /// final renormalisation of the fitted model.
+    pub fit: Duration,
+    /// Building the published snapshot's marginal lattice.
+    pub lattice: Duration,
+    /// Swapping the snapshot in for readers.
+    pub publish: Duration,
 }
 
 /// What one ingest call did.
@@ -297,6 +318,8 @@ pub struct StreamingEngine {
     /// What [`StreamingEngine::restore`] recovered at boot (all zero when
     /// the engine started fresh).
     recovery: RecoveryStats,
+    /// Phase times of the last completed refit.
+    last_refit: Option<RefitPhases>,
 }
 
 impl StreamingEngine {
@@ -322,6 +345,7 @@ impl StreamingEngine {
             remote: RemoteShardMap::new(),
             synced: 0,
             recovery: RecoveryStats::default(),
+            last_refit: None,
         })
     }
 
@@ -396,6 +420,11 @@ impl StreamingEngine {
     /// Total solver sweeps spent across every refit so far.
     pub fn total_solver_iterations(&self) -> u64 {
         self.solver_iterations
+    }
+
+    /// Phase times of the last completed refit (`None` before the first).
+    pub fn last_refit_phases(&self) -> Option<RefitPhases> {
+        self.last_refit
     }
 
     /// A cloneable read handle for query threads.
@@ -737,11 +766,13 @@ impl StreamingEngine {
     /// the previous snapshot for the whole duration of the refit; they see
     /// the new version only at the final pointer swap.
     pub fn refresh(&mut self) -> Result<RefitReport> {
+        let merge_started = Instant::now();
         let table = self.current_table()?;
         if table.total() == 0 {
             return Err(StreamError::EmptyStream);
         }
         let started = Instant::now();
+        let merge = started - merge_started;
         let previous = self.handle.load();
         // Warm-start from the previous snapshot when there is one.  A warm
         // refit can still fail on adversarial distribution shift (the old
@@ -770,22 +801,35 @@ impl StreamingEngine {
         self.fitted = table.total();
         self.pending = 0;
 
-        let report = RefitReport {
+        let mut report = RefitReport {
             version,
             warm_started,
             observations: table.total(),
             constraints: outcome.knowledge_base.constraints().len(),
             solver_iterations: outcome.trace.total_solver_iterations(),
             wall_time,
+            phases: RefitPhases {
+                merge,
+                scoring: outcome.timings.scoring,
+                fit: outcome.timings.fit,
+                lattice: Duration::ZERO,
+                publish: Duration::ZERO,
+            },
         };
-        self.handle.publish(Snapshot::with_lattice_order_and_ceiling(
+        let lattice_started = Instant::now();
+        let snapshot = Snapshot::with_lattice_order_and_ceiling(
             outcome.knowledge_base,
             version,
             table.total(),
             warm_started,
             self.lattice_order,
             self.acquisition.config().dense_ceiling,
-        ));
+        );
+        let publish_started = Instant::now();
+        self.handle.publish(snapshot);
+        report.phases.lattice = publish_started - lattice_started;
+        report.phases.publish = publish_started.elapsed();
+        self.last_refit = Some(report.phases);
         Ok(report)
     }
 }
@@ -840,6 +884,18 @@ mod tests {
             (first.solver_iterations + second.solver_iterations) as u64,
             "cumulative sweep counter must track every refit"
         );
+    }
+
+    #[test]
+    fn last_refit_phases_track_the_latest_report() {
+        let config = StreamConfig::new().with_shard_count(2).with_policy(RefreshPolicy::Manual);
+        let mut engine = StreamingEngine::new(schema(), config).unwrap();
+        assert_eq!(engine.last_refit_phases(), None);
+        engine.ingest_batch(&correlated_rows(100)).unwrap();
+        let report = engine.refresh().unwrap();
+        assert_eq!(engine.last_refit_phases(), Some(report.phases));
+        // Scoring and fitting are the acquisition run `wall_time` spans.
+        assert!(report.phases.scoring + report.phases.fit <= report.wall_time);
     }
 
     #[test]

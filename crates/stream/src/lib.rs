@@ -52,8 +52,8 @@ pub mod snapshot;
 
 pub use checkpoint::{CheckpointSource, FabricCheckpoint};
 pub use engine::{
-    IngestReport, RecoveryStats, RefitOutcome, RefitReport, RemoteDelivery, RemoteShardReport,
-    StreamConfig, StreamingEngine, SyncReport,
+    IngestReport, RecoveryStats, RefitOutcome, RefitPhases, RefitReport, RemoteDelivery,
+    RemoteShardReport, StreamConfig, StreamingEngine, SyncReport,
 };
 pub use error::StreamError;
 pub use journal::{FsyncPolicy, JournalRecovery, ShardJournal};

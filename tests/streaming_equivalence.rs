@@ -110,11 +110,14 @@ fn automatic_policy_stays_consistent_with_the_data() {
     //
     // Early refits see small noisy prefixes, and constraints they promote
     // are *retained* across warm refits (with their targets re-read from
-    // the growing table).  The streamed knowledge base may therefore carry
-    // strictly more structure than a one-shot run — the contract is not
-    // bit-equality but consistency: every constraint it holds is honoured
-    // against the full data, it contains at least the one-shot structure,
-    // and its queries agree with the one-shot model to modelling accuracy.
+    // the growing table).  The streamed knowledge base can therefore differ
+    // from a one-shot run's in either direction: retained cells change the
+    // model-indexing term of m2 and the Eq. 41 ranges, so the warm search
+    // can also stop before cells a cold run would select (ROADMAP item 2).
+    // What holds today, and what this test checks, is consistency: every
+    // constraint it holds is honoured against the full data, it carries
+    // real higher-order structure, and its queries agree with the one-shot
+    // model to within the total-variation bound below.
     let full_table = pka::datagen::smoking::table();
     let schema = full_table.shared_schema();
     let config = StreamConfig::new()
