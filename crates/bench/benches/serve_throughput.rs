@@ -1,13 +1,15 @@
 //! Query-server throughput: N client threads hammering a live `pka-serve`
 //! instance — idle, and during continuous ingest with policy-triggered
 //! warm refits landing mid-measurement (which readers, being wait-free,
-//! must not notice).
+//! must not notice) — plus the in-process cost of the protocol layer on
+//! one 64-entry `query-batch` line.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pka_datagen::sampler::{sample_dataset, seeded_rng};
 use pka_serve::{protocol, LineClient, ServeConfig, Server, ServerHandle};
 use pka_stream::{RefreshPolicy, StreamConfig};
 use serde::Value;
+use std::hint::black_box;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -246,5 +248,85 @@ fn query_throughput_under_ingest(c: &mut Criterion) {
     server.shutdown().expect("shutdown");
 }
 
-criterion_group!(benches, query_throughput, query_throughput_under_ingest);
+/// Entries of the protocol probe's `query-batch` line, as in the repo
+/// benchmark's survey read line.
+const PROBE_ENTRIES: usize = 64;
+
+/// A `query-batch` line over the survey's names: eight order-3 entries
+/// (one target, two evidence attributes), the rest alternating marginals
+/// and order-2 conditionals.
+fn survey_batch_line() -> String {
+    let schema = pka_datagen::survey::schema();
+    let attributes = schema.attributes();
+    let pair = |i: usize, j: usize| {
+        let a = &attributes[(i + j) % attributes.len()];
+        (a.name().to_string(), Value::Str(a.values()[(i * 7 + j) % a.values().len()].clone()))
+    };
+    let entries = (0..PROBE_ENTRIES)
+        .map(|i| {
+            let order = if i < 8 { 3 } else { 1 + i % 2 };
+            protocol::object([
+                ("target", Value::Object(vec![pair(i, 0)])),
+                ("evidence", Value::Object((1..order).map(|j| pair(i, j)).collect())),
+            ])
+        })
+        .collect();
+    protocol::request_line(
+        1,
+        "query-batch",
+        &protocol::object([("queries", Value::Array(entries))]),
+    )
+}
+
+/// The answer to that line: one positional five-number row per entry.
+fn survey_batch_answer() -> Value {
+    let row =
+        |i: usize| Value::Array((0..5).map(|k| Value::F64(1.0 / (3 + i * 5 + k) as f64)).collect());
+    protocol::object([
+        ("count", Value::U64(PROBE_ENTRIES as u64)),
+        ("results", Value::Array((0..PROBE_ENTRIES).map(row).collect())),
+        ("snapshot_version", Value::U64(7)),
+        ("observations", Value::U64(20_000)),
+    ])
+}
+
+/// The protocol layer of a `query-batch` read, in process: `parse_request`
+/// on the request line and `ok_line` on its answer.  Prints the median µs
+/// per line of each; its gate is that the parsed `params` equal an
+/// independent parse of the same text.
+fn protocol_probe(_c: &mut Criterion) {
+    const ROUNDS: usize = 400;
+    let line = survey_batch_line();
+    let reference: Value = serde_json::from_str(&line).expect("probe line parses");
+    let request = protocol::parse_request(&line).expect("probe line is a request");
+    assert_eq!(Some(&request.params), reference.get("params"), "parse_request changed `params`");
+
+    let median_us = |mut xs: Vec<Duration>| {
+        xs.sort_unstable();
+        xs[xs.len() / 2].as_secs_f64() * 1e6
+    };
+    let mut parse = Vec::with_capacity(ROUNDS);
+    let mut print = Vec::with_capacity(ROUNDS);
+    let mut response_bytes = 0;
+    for _ in 0..ROUNDS {
+        let started = Instant::now();
+        let request = black_box(protocol::parse_request(black_box(&line)));
+        parse.push(started.elapsed());
+        drop(request);
+        let answer = survey_batch_answer();
+        let started = Instant::now();
+        let response = black_box(protocol::ok_line(&Value::U64(1), answer));
+        print.push(started.elapsed());
+        response_bytes = response.len();
+    }
+    eprintln!(
+        "  protocol: parse_request {:.1} µs per {}-byte {PROBE_ENTRIES}-entry query-batch line, \
+         ok_line {:.1} µs per {response_bytes}-byte answer (medians of {ROUNDS})",
+        median_us(parse),
+        line.len(),
+        median_us(print),
+    );
+}
+
+criterion_group!(benches, query_throughput, query_throughput_under_ingest, protocol_probe);
 criterion_main!(benches);

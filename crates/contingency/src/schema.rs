@@ -220,9 +220,7 @@ impl Schema {
     /// Iterates over every partial value assignment on the attributes in
     /// `vars`, in lexicographic order of the member values.
     pub fn configurations(&self, vars: VarSet) -> ConfigIter<'_> {
-        let members: Vec<usize> = vars.iter().collect();
-        let total = members.iter().map(|&i| self.attributes[i].cardinality()).product();
-        ConfigIter { schema: self, members, next: 0, total }
+        ConfigIter { schema: self, vars, next: 0, total: self.cell_count_of(vars) }
     }
 
     /// Position of a partial assignment's `values` (one per member of `vars`,
@@ -232,6 +230,21 @@ impl Schema {
         vars.iter()
             .zip(values)
             .fold(0, |index, (attr, &v)| index * self.attributes[attr].cardinality() + v)
+    }
+
+    /// The values of the `index`-th configuration of `vars` — the inverse
+    /// of [`Schema::config_index`].
+    pub fn config_values(&self, vars: VarSet, index: usize) -> Vec<usize> {
+        let mut values: Vec<usize> =
+            vars.iter().map(|attr| self.attributes[attr].cardinality()).collect();
+        let mut rem = index;
+        // Last member varies fastest, mirroring full-cell ordering.
+        for slot in values.iter_mut().rev() {
+            let card = *slot;
+            *slot = rem % card;
+            rem /= card;
+        }
+        values
     }
 
     /// Row-major dense-index strides, one per attribute (the last attribute
@@ -332,7 +345,7 @@ impl ExactSizeIterator for CellIter<'_> {}
 #[derive(Debug)]
 pub struct ConfigIter<'a> {
     schema: &'a Schema,
-    members: Vec<usize>,
+    vars: VarSet,
     next: usize,
     total: usize,
 }
@@ -344,14 +357,7 @@ impl Iterator for ConfigIter<'_> {
         if self.next >= self.total {
             return None;
         }
-        let mut rem = self.next;
-        let mut values = vec![0usize; self.members.len()];
-        // Last member varies fastest, mirroring full-cell ordering.
-        for (pos, &attr) in self.members.iter().enumerate().rev() {
-            let card = self.schema.attributes[attr].cardinality();
-            values[pos] = rem % card;
-            rem /= card;
-        }
+        let values = self.schema.config_values(self.vars, self.next);
         self.next += 1;
         Some(values)
     }

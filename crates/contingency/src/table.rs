@@ -262,13 +262,17 @@ impl ContingencyTable {
         Ok(self)
     }
 
-    /// Folds any number of part-tables into one total table over `schema`.
-    /// An empty iterator yields the all-zero table.
-    pub fn merged<I>(schema: Arc<Schema>, parts: I) -> Result<ContingencyTable>
+    /// Folds any number of borrowed part-tables into one total table over
+    /// `schema`, without copying any part.  An empty iterator yields the
+    /// all-zero table.
+    pub fn merged<'a, I>(schema: Arc<Schema>, parts: I) -> Result<ContingencyTable>
     where
-        I: IntoIterator<Item = ContingencyTable>,
+        I: IntoIterator<Item = &'a ContingencyTable>,
     {
-        parts.into_iter().try_fold(ContingencyTable::zeros(schema), ContingencyTable::combined)
+        parts.into_iter().try_fold(ContingencyTable::zeros(schema), |mut total, part| {
+            total.merge(part)?;
+            Ok(total)
+        })
     }
 }
 
@@ -417,7 +421,7 @@ mod tests {
         let a = ContingencyTable::from_counts(Arc::clone(&s), paper_counts()).unwrap();
         let b = ContingencyTable::from_counts(Arc::clone(&s), paper_counts()).unwrap();
         let c = ContingencyTable::zeros(Arc::clone(&s));
-        let folded = ContingencyTable::merged(Arc::clone(&s), vec![a.clone(), b, c]).unwrap();
+        let folded = ContingencyTable::merged(Arc::clone(&s), [&a, &b, &c]).unwrap();
         assert_eq!(folded.total(), 2 * 3428);
         // combined is merge by value.
         let pair = a.clone().combined(a).unwrap();
@@ -427,7 +431,7 @@ mod tests {
         assert_eq!(empty.total(), 0);
         // Schema mismatches are rejected mid-fold.
         let other = ContingencyTable::zeros(Schema::uniform(&[2, 2]).unwrap().into_shared());
-        assert!(ContingencyTable::merged(s, vec![other]).is_err());
+        assert!(ContingencyTable::merged(s, [&other]).is_err());
     }
 
     #[test]

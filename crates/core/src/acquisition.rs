@@ -8,7 +8,7 @@ use crate::trace::{AcquisitionTrace, CellEvaluation, RoundTrace};
 use crate::Result;
 use pka_contingency::{Assignment, ContingencyTable, MarginalTables, VarSet};
 use pka_maxent::{ConstraintSet, Evaluator, IncidenceCache, LogLinearModel, Solver};
-use pka_significance::{CandidateCell, KnownCells, MessageLengthTest, RangeContext};
+use pka_significance::{KnownCells, MessageLengthTest, RangeContext};
 use std::time::{Duration, Instant};
 
 /// Factors of a warm-start seed model are raised to at least this value so
@@ -256,71 +256,75 @@ impl Acquisition {
                 // below the ceiling, an elimination above it.
                 let evaluator = Evaluator::unnormalized(&model, self.config.dense_ceiling);
 
-                // Score every unconstrained cell at this order.
+                // Score every unconstrained cell at this order.  Only the
+                // running best (first in enumeration order on a tie) and
+                // the tallies are kept; a `CellEvaluation` is built only
+                // when the trace records them.
+                let record = self.config.record_evaluations;
                 let mut evaluations: Vec<CellEvaluation> = Vec::new();
-                let mut best: Option<(usize, f64)> = None;
+                let mut candidates = 0;
+                let mut significant_count = 0;
+                let mut best: Option<(VarSet, usize, f64)> = None;
                 for &vars in &candidate_sets {
-                    // Predicted marginals, observed marginals and
-                    // `configurations` share the same row-major layout, so
-                    // the enumeration index addresses all three.
+                    // Predicted and observed marginals share the row-major
+                    // layout of `configurations`, so the configuration
+                    // index addresses both.
                     let marginal = evaluator.marginal(vars);
                     let counts = tables.get(vars).expect("tabulated up to max_order").counts();
                     let ranges = range_ctx.ranges_over(vars);
-                    for (config_index, values) in schema.configurations(vars).enumerate() {
+                    for config_index in 0..schema.cell_count_of(vars) {
                         if known.contains(vars, config_index) {
                             continue;
                         }
-                        let assignment = Assignment::new(vars, values);
                         let observed = counts[config_index];
                         let predicted_p = marginal[config_index].clamp(0.0, 1.0);
                         let range = ranges.range_of(config_index);
                         let lengths = test.evaluate(
-                            &CandidateCell {
-                                assignment: assignment.clone(),
-                                observed,
-                                predicted_p,
-                            },
+                            observed,
+                            predicted_p,
                             table.total(),
                             cells_at_order,
                             found_at_order,
                             &range,
                         )?;
-                        let evaluation = CellEvaluation {
-                            assignment,
-                            observed,
-                            predicted_p,
-                            mean: lengths.mean,
-                            std_dev: lengths.std_dev,
-                            z_score: lengths.z_score,
-                            m1: lengths.m1,
-                            m2: lengths.m2,
-                            delta: lengths.delta(),
-                            likelihood_ratio: lengths.likelihood_ratio(),
-                            significant: lengths.is_significant(),
-                        };
-                        if evaluation.significant && best.is_none_or(|(_, d)| evaluation.delta < d)
-                        {
-                            best = Some((evaluations.len(), evaluation.delta));
+                        let delta = lengths.delta();
+                        let significant = lengths.is_significant();
+                        candidates += 1;
+                        if significant {
+                            significant_count += 1;
+                            if best.is_none_or(|(_, _, d)| delta < d) {
+                                best = Some((vars, config_index, delta));
+                            }
                         }
-                        evaluations.push(evaluation);
+                        if record {
+                            evaluations.push(CellEvaluation {
+                                assignment: Assignment::new(
+                                    vars,
+                                    schema.config_values(vars, config_index),
+                                ),
+                                observed,
+                                predicted_p,
+                                mean: lengths.mean,
+                                std_dev: lengths.std_dev,
+                                z_score: lengths.z_score,
+                                m1: lengths.m1,
+                                m2: lengths.m2,
+                                delta,
+                                likelihood_ratio: lengths.likelihood_ratio(),
+                                significant,
+                            });
+                        }
                     }
                 }
 
-                let candidates = evaluations.len();
-                let significant_count = evaluations.iter().filter(|e| e.significant).count();
-
-                let Some((best_index, best_delta)) = best else {
+                let Some((best_vars, best_index, best_delta)) = best else {
                     // No significant cell remains at this order: record the
                     // final (empty-handed) round and move on (Figure 3's
                     // "done" branch for the order).
                     trace.rounds.push(RoundTrace {
                         order,
                         round,
-                        evaluations: if self.config.record_evaluations {
-                            evaluations
-                        } else {
-                            Vec::new()
-                        },
+                        evaluations,
                         selected: None,
                         selected_delta: None,
                         candidates,
@@ -332,7 +336,8 @@ impl Acquisition {
 
                 // Promote the most significant cell and refit, warm-starting
                 // from the current a-values (Figure 4).
-                let selected = evaluations[best_index].assignment.clone();
+                let selected =
+                    Assignment::new(best_vars, schema.config_values(best_vars, best_index));
                 constraints.add_from_table(table, selected.clone())?;
                 known.insert(&schema, &selected);
                 found_at_order += 1;
@@ -342,11 +347,7 @@ impl Acquisition {
                 trace.rounds.push(RoundTrace {
                     order,
                     round,
-                    evaluations: if self.config.record_evaluations {
-                        evaluations
-                    } else {
-                        Vec::new()
-                    },
+                    evaluations,
                     selected: Some(selected),
                     selected_delta: Some(best_delta),
                     candidates,

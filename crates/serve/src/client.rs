@@ -543,7 +543,13 @@ impl LineClient {
             }
         }
         match response.get("ok") {
-            Some(Value::Bool(true)) => Ok(response.get("result").cloned().unwrap_or(Value::Null)),
+            // Moved out, not cloned: the result is the bulk of the line.
+            Some(Value::Bool(true)) => Ok(match response {
+                Value::Object(fields) => {
+                    fields.into_iter().find(|(k, _)| k == "result").map_or(Value::Null, |(_, v)| v)
+                }
+                _ => Value::Null,
+            }),
             Some(Value::Bool(false)) => {
                 let error = response.get("error");
                 let field = |name: &str| -> String {

@@ -116,51 +116,59 @@ impl RequestError {
     }
 }
 
-/// Parses one request line.
+/// Parses one request line.  The parsed envelope is taken apart by move:
+/// `params` (the bulk of a `query-batch` or `ingest` line) is the parser's
+/// own tree, never a copy.  As with [`Value::get`], the first occurrence of
+/// a duplicated envelope key wins.
 pub fn parse_request(line: &str) -> Result<Request, RequestError> {
     let value: Value = serde_json::from_str(line)
         .map_err(|e| RequestError::new(ErrorCode::ParseError, e.to_string()))?;
-    if !matches!(value, Value::Object(_)) {
-        return Err(RequestError::new(
-            ErrorCode::InvalidRequest,
-            format!("a request must be a JSON object, found {}", value.kind()),
-        ));
-    }
-    let id = value.get("id").cloned().unwrap_or(Value::Null);
-    let method = match value.get("method") {
-        Some(Value::Str(m)) => m.clone(),
-        Some(other) => {
-            return Err(RequestError {
-                code: ErrorCode::InvalidRequest,
-                message: format!("`method` must be a string, found {}", other.kind()),
-                id,
-                retry_after_ms: None,
-            })
-        }
-        None => {
-            return Err(RequestError {
-                code: ErrorCode::InvalidRequest,
-                message: "request has no `method` field".to_string(),
-                id,
-                retry_after_ms: None,
-            })
+    let fields = match value {
+        Value::Object(fields) => fields,
+        other => {
+            return Err(RequestError::new(
+                ErrorCode::InvalidRequest,
+                format!("a request must be a JSON object, found {}", other.kind()),
+            ))
         }
     };
-    let params = value.get("params").cloned().unwrap_or_else(|| Value::Object(Vec::new()));
-    let deadline_ms = match value.get("deadline_ms") {
+    let (mut id, mut method, mut params, mut deadline) = (None, None, None, None);
+    for (key, field) in fields {
+        let slot = match key.as_str() {
+            "id" => &mut id,
+            "method" => &mut method,
+            "params" => &mut params,
+            "deadline_ms" => &mut deadline,
+            _ => continue,
+        };
+        if slot.is_none() {
+            *slot = Some(field);
+        }
+    }
+    let id = id.unwrap_or(Value::Null);
+    let invalid = |id, message| RequestError {
+        code: ErrorCode::InvalidRequest,
+        message,
+        id,
+        retry_after_ms: None,
+    };
+    let method = match method {
+        Some(Value::Str(m)) => m,
+        Some(other) => {
+            return Err(invalid(id, format!("`method` must be a string, found {}", other.kind())))
+        }
+        None => return Err(invalid(id, "request has no `method` field".to_string())),
+    };
+    let params = params.unwrap_or_else(|| Value::Object(Vec::new()));
+    let deadline_ms = match deadline {
         None | Some(Value::Null) => None,
         Some(v) => match v.as_u64() {
             Some(ms) => Some(ms),
             None => {
-                return Err(RequestError {
-                    code: ErrorCode::InvalidRequest,
-                    message: format!(
-                        "`deadline_ms` must be a non-negative integer, found {}",
-                        v.kind()
-                    ),
+                return Err(invalid(
                     id,
-                    retry_after_ms: None,
-                })
+                    format!("`deadline_ms` must be a non-negative integer, found {}", v.kind()),
+                ))
             }
         },
     };

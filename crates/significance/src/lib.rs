@@ -43,7 +43,7 @@ pub use bounds::{CellRange, CellRanges, KnownCells, RangeContext};
 pub use chi_square::{chi_square_cell_test, chi_square_statistic, ChiSquareResult};
 pub use error::SignificanceError;
 pub use g_test::{g_statistic, g_test_cell, GTestResult};
-pub use message_length::{CandidateCell, HypothesisPriors, MessageLengthTest, MessageLengths};
+pub use message_length::{HypothesisPriors, MessageLengthTest, MessageLengths};
 pub use normal::Normal;
 
 /// Convenient result alias used throughout the crate.

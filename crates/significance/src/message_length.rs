@@ -19,7 +19,6 @@ use crate::binomial::Binomial;
 use crate::bounds::CellRange;
 use crate::error::SignificanceError;
 use crate::Result;
-use pka_contingency::Assignment;
 use serde::{Deserialize, Serialize};
 
 /// Prior probabilities of the two hypotheses.
@@ -76,19 +75,6 @@ impl Default for HypothesisPriors {
     }
 }
 
-/// One cell under test: its identity, the count observed in the data, and
-/// the probability the current model assigns it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CandidateCell {
-    /// Which marginal cell is being tested (e.g. `N^{AC}_{12}`).
-    pub assignment: Assignment,
-    /// The observed count `N_{S,c}`.
-    pub observed: u64,
-    /// The probability `p_{S,c}` the current maximum-entropy model predicts
-    /// for the cell.
-    pub predicted_p: f64,
-}
-
 /// Result of evaluating one candidate cell.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MessageLengths {
@@ -140,8 +126,12 @@ impl MessageLengthTest {
         self.priors
     }
 
-    /// Evaluates one candidate cell.
+    /// Evaluates one candidate cell.  The test needs only the cell's
+    /// numbers, not its identity:
     ///
+    /// * `observed` — the observed count `N_{S,c}`.
+    /// * `predicted_p` — the probability `p_{S,c}` the current
+    ///   maximum-entropy model predicts for the cell.
     /// * `n_total` — the total sample size `N`.
     /// * `cells_at_order` — number of candidate cells at the current order
     ///   (the memo's `I·J·K·…` summed over the variable subsets of that
@@ -152,18 +142,16 @@ impl MessageLengthTest {
     ///   (computed by [`crate::bounds::RangeContext::range_of`]).
     pub fn evaluate(
         &self,
-        candidate: &CandidateCell,
+        observed: u64,
+        predicted_p: f64,
         n_total: u64,
         cells_at_order: usize,
         found_at_order: usize,
         range: &CellRange,
     ) -> Result<MessageLengths> {
-        if candidate.observed > n_total {
+        if observed > n_total {
             return Err(SignificanceError::InvalidCount {
-                reason: format!(
-                    "observed count {} exceeds the sample size {}",
-                    candidate.observed, n_total
-                ),
+                reason: format!("observed count {observed} exceeds the sample size {n_total}"),
             });
         }
         if cells_at_order <= found_at_order {
@@ -173,8 +161,8 @@ impl MessageLengthTest {
                 ),
             });
         }
-        let binomial = Binomial::new(n_total, candidate.predicted_p)?;
-        let ln_pmf = binomial.ln_pmf(candidate.observed)?;
+        let binomial = Binomial::new(n_total, predicted_p)?;
+        let ln_pmf = binomial.ln_pmf(observed)?;
 
         // Eq. 46: m1 = −ln p(H1) − ln B(N_obs; N, p).
         let m1 = -self.priors.p_no_more_constraints().ln() - ln_pmf;
@@ -189,7 +177,7 @@ impl MessageLengthTest {
             m2,
             mean: binomial.mean(),
             std_dev: binomial.std_dev(),
-            z_score: binomial.z_score(candidate.observed),
+            z_score: binomial.z_score(observed),
         })
     }
 }
@@ -198,7 +186,7 @@ impl MessageLengthTest {
 mod tests {
     use super::*;
     use crate::bounds::{KnownCells, RangeContext};
-    use pka_contingency::{Attribute, ContingencyTable, MarginalTables, Schema};
+    use pka_contingency::{Assignment, Attribute, ContingencyTable, MarginalTables, Schema};
     use proptest::prelude::*;
 
     fn paper_table() -> ContingencyTable {
@@ -227,9 +215,8 @@ mod tests {
         let assignment = Assignment::from_pairs(pairs);
         let observed = t.count_matching(&assignment);
         let range = ctx.range_of(&assignment);
-        let candidate = CandidateCell { assignment, observed, predicted_p };
         MessageLengthTest::new(HypothesisPriors::even())
-            .evaluate(&candidate, t.total(), 16, 0, &range)
+            .evaluate(observed, predicted_p, t.total(), 16, 0, &range)
             .unwrap()
     }
 
@@ -308,10 +295,8 @@ mod tests {
         let a = Assignment::from_pairs([(0, 0), (1, 0)]);
         let range = ctx.range_of(&a);
         let test = MessageLengthTest::default();
-        let candidate = CandidateCell { assignment: a.clone(), observed: 99_999, predicted_p: 0.1 };
-        assert!(test.evaluate(&candidate, t.total(), 16, 0, &range).is_err());
-        let candidate = CandidateCell { assignment: a, observed: 240, predicted_p: 0.1 };
-        assert!(test.evaluate(&candidate, t.total(), 16, 16, &range).is_err());
+        assert!(test.evaluate(99_999, 0.1, t.total(), 16, 0, &range).is_err());
+        assert!(test.evaluate(240, 0.1, t.total(), 16, 16, &range).is_err());
     }
 
     #[test]
@@ -319,12 +304,7 @@ mod tests {
         // A determined cell only pays the model-indexing cost under H2, so it
         // is *easier* to call significant — exactly the memo's ELSE branch.
         let range = CellRange { max_value: 100, min_free_cells: 1, determined: true };
-        let candidate = CandidateCell {
-            assignment: Assignment::from_pairs([(0, 0), (1, 0)]),
-            observed: 240,
-            predicted_p: 0.048,
-        };
-        let r = MessageLengthTest::default().evaluate(&candidate, 3428, 16, 0, &range).unwrap();
+        let r = MessageLengthTest::default().evaluate(240, 0.048, 3428, 16, 0, &range).unwrap();
         // m2 = −ln p(H2′) + ln(16) with no data term.
         assert!((r.m2 - (-(0.5f64).ln() + (16f64).ln())).abs() < 1e-12);
     }
@@ -337,12 +317,7 @@ mod tests {
             max_value in 1u64..2000,
         ) {
             let range = CellRange { max_value, min_free_cells: 3, determined: false };
-            let candidate = CandidateCell {
-                assignment: Assignment::from_pairs([(0, 0), (1, 0)]),
-                observed,
-                predicted_p: p,
-            };
-            let r = MessageLengthTest::default().evaluate(&candidate, 2000, 16, 2, &range).unwrap();
+            let r = MessageLengthTest::default().evaluate(observed, p, 2000, 16, 2, &range).unwrap();
             prop_assert!((r.likelihood_ratio() - r.delta().exp()).abs() < 1e-9);
             prop_assert_eq!(r.is_significant(), r.delta() < 0.0);
         }
@@ -355,15 +330,10 @@ mod tests {
             // Raising p(H2') lowers m2 and leaves m1's data term unchanged, so
             // delta must not increase.
             let range = CellRange { max_value: 500, min_free_cells: 3, determined: false };
-            let candidate = CandidateCell {
-                assignment: Assignment::from_pairs([(0, 0), (1, 0)]),
-                observed,
-                predicted_p: p,
-            };
             let low = MessageLengthTest::new(HypothesisPriors::new(0.3).unwrap())
-                .evaluate(&candidate, 500, 16, 0, &range).unwrap();
+                .evaluate(observed, p, 500, 16, 0, &range).unwrap();
             let high = MessageLengthTest::new(HypothesisPriors::new(0.8).unwrap())
-                .evaluate(&candidate, 500, 16, 0, &range).unwrap();
+                .evaluate(observed, p, 500, 16, 0, &range).unwrap();
             prop_assert!(high.delta() <= low.delta() + 1e-9);
         }
 
@@ -376,12 +346,7 @@ mod tests {
             // evidence for a new constraint.
             let observed = (n as f64 * p).round() as u64;
             let range = CellRange { max_value: n, min_free_cells: 4, determined: false };
-            let candidate = CandidateCell {
-                assignment: Assignment::from_pairs([(0, 0), (1, 0)]),
-                observed,
-                predicted_p: p,
-            };
-            let r = MessageLengthTest::default().evaluate(&candidate, n, 16, 0, &range).unwrap();
+            let r = MessageLengthTest::default().evaluate(observed, p, n, 16, 0, &range).unwrap();
             prop_assert!(!r.is_significant(), "delta = {}", r.delta());
         }
     }

@@ -493,7 +493,7 @@ impl StreamingEngine {
     pub fn current_table(&self) -> Result<ContingencyTable> {
         ContingencyTable::merged(
             Arc::clone(&self.schema),
-            self.shards.iter().map(|s| s.table().clone()).chain(self.remote.tables()),
+            self.shards.iter().map(CountShard::table).chain(self.remote.tables()),
         )
         .map_err(StreamError::from)
     }
@@ -505,7 +505,7 @@ impl StreamingEngine {
     pub fn export_local_shard(&self) -> Result<CountShard> {
         let table = ContingencyTable::merged(
             Arc::clone(&self.schema),
-            self.shards.iter().map(|s| s.table().clone()),
+            self.shards.iter().map(CountShard::table),
         )
         .map_err(StreamError::from)?;
         Ok(CountShard::from_table(table))

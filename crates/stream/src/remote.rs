@@ -161,8 +161,8 @@ impl RemoteShardMap {
     }
 
     /// The held cumulative tables, for merging into the engine's fold.
-    pub fn tables(&self) -> impl Iterator<Item = ContingencyTable> + '_ {
-        self.entries.values().map(|e| e.shard.table().clone())
+    pub fn tables(&self) -> impl Iterator<Item = &ContingencyTable> {
+        self.entries.values().map(|e| e.shard.table())
     }
 }
 

@@ -14,7 +14,7 @@
 use pka::contingency::{Assignment, ContingencyTable, MarginalTables, Schema};
 use pka::core::{Acquisition, AcquisitionConfig, AcquisitionOutcome, KnowledgeBase};
 use pka::datagen::{sample_table, sampler::seeded_rng, smoking, survey, WideExperiment};
-use pka::significance::{CandidateCell, CellRange, KnownCells, MessageLengthTest, RangeContext};
+use pka::significance::{CellRange, KnownCells, MessageLengthTest, RangeContext};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -83,13 +83,15 @@ fn check_run(
             let observed = table.count_matching(&e.assignment);
             assert_eq!(e.observed, observed, "observed count of {:?}", e.assignment);
             let range = reference_range(table, &known, &found, &e.assignment);
-            let candidate = CandidateCell {
-                assignment: e.assignment.clone(),
-                observed,
-                predicted_p: e.predicted_p,
-            };
             let lengths = test
-                .evaluate(&candidate, table.total(), cells_at_order, found.len(), &range)
+                .evaluate(
+                    observed,
+                    e.predicted_p,
+                    table.total(),
+                    cells_at_order,
+                    found.len(),
+                    &range,
+                )
                 .unwrap();
             let bits = |x: f64| x.to_bits();
             assert_eq!(bits(e.m1), bits(lengths.m1), "m1 of {:?}", e.assignment);
