@@ -2,9 +2,11 @@
 //! instance — idle, and during continuous ingest with policy-triggered
 //! warm refits landing mid-measurement (which readers, being wait-free,
 //! must not notice) — plus the in-process cost of the protocol layer on
-//! one 64-entry `query-batch` line.
+//! one 64-entry `query-batch` line: envelope parse, entry decode, float
+//! writer and response print.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use pka_contingency::{Assignment, Schema};
 use pka_datagen::sampler::{sample_dataset, seeded_rng};
 use pka_serve::{protocol, LineClient, ServeConfig, Server, ServerHandle};
 use pka_stream::{RefreshPolicy, StreamConfig};
@@ -290,29 +292,80 @@ fn survey_batch_answer() -> Value {
     ])
 }
 
+/// The tree-based decoding of a `query-batch` line the read path used to
+/// do: parse the whole line into a `Value` tree, then turn each entry's
+/// `target` and `evidence` objects into assignments.  The probe's gate.
+fn tree_questions(line: &str, schema: &Schema) -> Vec<(Assignment, Assignment)> {
+    let tree: Value = serde_json::from_str(line).expect("probe line parses");
+    let Some(Value::Array(entries)) = tree.get("params").and_then(|p| p.get("queries")) else {
+        panic!("probe line has a `queries` array");
+    };
+    let assignment = |value: Option<&Value>| {
+        let pairs: Vec<(&str, &str)> = match value {
+            Some(Value::Object(fields)) => fields
+                .iter()
+                .map(|(k, v)| match v {
+                    Value::Str(name) => (k.as_str(), name.as_str()),
+                    other => panic!("probe names are strings, found {}", other.kind()),
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        Assignment::from_names(schema, &pairs).expect("probe names are in the schema")
+    };
+    entries.iter().map(|e| (assignment(e.get("target")), assignment(e.get("evidence")))).collect()
+}
+
 /// The protocol layer of a `query-batch` read, in process: `parse_request`
-/// on the request line and `ok_line` on its answer.  Prints the median µs
-/// per line of each; its gate is that the parsed `params` equal an
-/// independent parse of the same text.
+/// on the request line, the decode of its entries into assignments, the
+/// float writer, and `ok_line` on the answer.  Prints the median of each;
+/// its gates are that `params` equal an independent parse of the same
+/// text and that the decoded assignments equal the tree path's.
 fn protocol_probe(_c: &mut Criterion) {
     const ROUNDS: usize = 400;
+    let schema = pka_datagen::survey::schema();
     let line = survey_batch_line();
     let reference: Value = serde_json::from_str(&line).expect("probe line parses");
     let request = protocol::parse_request(&line).expect("probe line is a request");
-    assert_eq!(Some(&request.params), reference.get("params"), "parse_request changed `params`");
+    assert_eq!(
+        Some(request.params.to_value()).as_ref(),
+        reference.get("params"),
+        "parse_request changed `params`"
+    );
+    let decoded: Vec<(Assignment, Assignment)> = protocol::batch_questions(&schema, request.params)
+        .expect("probe line is a batch")
+        .into_iter()
+        .map(|q| q.map(|q| (q.target, q.evidence)).expect("probe entries decode"))
+        .collect();
+    assert_eq!(decoded, tree_questions(&line, &schema), "the decode changed an assignment");
 
-    let median_us = |mut xs: Vec<Duration>| {
+    let median = |mut xs: Vec<Duration>| {
         xs.sort_unstable();
-        xs[xs.len() / 2].as_secs_f64() * 1e6
+        xs[xs.len() / 2].as_secs_f64()
     };
     let mut parse = Vec::with_capacity(ROUNDS);
+    let mut decode = Vec::with_capacity(ROUNDS);
+    let mut floats = Vec::with_capacity(ROUNDS);
     let mut print = Vec::with_capacity(ROUNDS);
     let mut response_bytes = 0;
+    let answer_floats: Vec<f64> = (0..PROBE_ENTRIES * 5).map(|k| 1.0 / (3 + k) as f64).collect();
+    let mut text = String::with_capacity(answer_floats.len() * 24);
     for _ in 0..ROUNDS {
         let started = Instant::now();
-        let request = black_box(protocol::parse_request(black_box(&line)));
+        let request =
+            black_box(protocol::parse_request(black_box(&line))).expect("probe line is a request");
         parse.push(started.elapsed());
-        drop(request);
+        let started = Instant::now();
+        black_box(protocol::batch_questions(&schema, black_box(request.params)))
+            .expect("probe line is a batch");
+        decode.push(started.elapsed());
+        text.clear();
+        let started = Instant::now();
+        for &x in &answer_floats {
+            serde_json::write_f64(&mut text, black_box(x));
+        }
+        floats.push(started.elapsed());
+        black_box(&text);
         let answer = survey_batch_answer();
         let started = Instant::now();
         let response = black_box(protocol::ok_line(&Value::U64(1), answer));
@@ -322,9 +375,16 @@ fn protocol_probe(_c: &mut Criterion) {
     eprintln!(
         "  protocol: parse_request {:.1} µs per {}-byte {PROBE_ENTRIES}-entry query-batch line, \
          ok_line {:.1} µs per {response_bytes}-byte answer (medians of {ROUNDS})",
-        median_us(parse),
+        median(parse) * 1e6,
         line.len(),
-        median_us(print),
+        median(print) * 1e6,
+    );
+    eprintln!(
+        "  protocol: query-batch decode {:.1} µs per line into {PROBE_ENTRIES} target/evidence \
+         assignment pairs (equal to the tree path's), float writer {:.1} ns per float \
+         (medians of {ROUNDS})",
+        median(decode) * 1e6,
+        median(floats) * 1e9 / answer_floats.len() as f64,
     );
 }
 

@@ -80,10 +80,15 @@ impl Assignment {
     }
 
     /// Builds an assignment by looking up attribute and value names in a
-    /// schema.
-    pub fn from_names(schema: &Schema, pairs: &[(&str, &str)]) -> Result<Self> {
+    /// schema.  The names may be borrowed or owned (`&str`, `String`,
+    /// `Cow<str>`); the assignment's one allocation is its value vector.
+    pub fn from_names<A: AsRef<str>, V: AsRef<str>>(
+        schema: &Schema,
+        pairs: &[(A, V)],
+    ) -> Result<Self> {
         let mut resolved = Vec::with_capacity(pairs.len());
-        for &(attr_name, value_name) in pairs {
+        for (attr_name, value_name) in pairs {
+            let (attr_name, value_name) = (attr_name.as_ref(), value_name.as_ref());
             let attr = schema.attribute_index(attr_name)?;
             let value = schema.attribute(attr)?.value_index(value_name).ok_or_else(|| {
                 ContingencyError::UnknownValue {

@@ -280,9 +280,15 @@ fn coordinator_kill_restores_the_placement_map_from_a_checkpoint() {
     }
     // Cut the crash image once a checkpoint has captured all of round 1
     // *and* the publish; checkpoint saves are atomic (temp + rename), so
-    // every copy is a complete, loadable recovery point.
+    // every copy is a complete, loadable recovery point.  Before the first
+    // save there is nothing to copy yet, which is "not covered yet", not a
+    // failure.
     wait_for(timeout, "the checkpoint to cover round 1", || {
-        std::fs::copy(&checkpoint, &crash_image).unwrap();
+        match std::fs::copy(&checkpoint, &crash_image) {
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return false,
+            Err(e) => panic!("copying the checkpoint failed: {e}"),
+        }
         pka_stream::FabricCheckpoint::load(&crash_image)
             .map(|cp| cp.total_tuples() >= round1_total && cp.version >= 1)
             .unwrap_or(false)

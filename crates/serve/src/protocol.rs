@@ -14,9 +14,22 @@
 //! Everything in this module is pure string/value manipulation: no sockets,
 //! so the parsing rules are unit-testable in isolation and reusable by the
 //! client, the server and the fuzz-style malformed-input tests.
+//!
+//! A request line is read in place: [`parse_request`] validates the whole
+//! line with the `serde_json` cursor but builds only the small envelope
+//! fields, and keeps `params` as the validated text of the line
+//! ([`Raw`]).  The read path decodes what it needs straight from that
+//! text — [`question`] and [`batch_questions`] turn borrowed attribute and
+//! value names into [`Assignment`]s, [`rows_from_value`] reads ingest rows
+//! — so a `query-batch` line never becomes a JSON tree.  Methods that
+//! deserialise a structured payload (`shard-push`, `snapshot-sync`) build
+//! their tree from the text once ([`Raw::to_value`]).
 
 use pka_contingency::{Assignment, Schema};
+use pka_core::Query;
 use serde::Value;
+use serde_json::{Cursor, Kind, Raw};
+use std::borrow::Cow;
 
 /// Default cap on one request line.  Long enough for bulk ingest batches,
 /// short enough that a stuck or malicious client cannot balloon a
@@ -82,15 +95,16 @@ impl ErrorCode {
     }
 }
 
-/// A parsed request envelope.
+/// A parsed request envelope, borrowing its `params` from the line.
 #[derive(Debug, Clone)]
-pub struct Request {
+pub struct Request<'a> {
     /// Client-chosen correlation id, echoed verbatim in the response.
     pub id: Value,
     /// The method name.
     pub method: String,
-    /// Method parameters (an empty object when omitted).
-    pub params: Value,
+    /// Method parameters: the validated text of the line's `params` value
+    /// (`{}` when omitted), read in place by the method that needs them.
+    pub params: Raw<'a>,
     /// Optional request budget in milliseconds, counted from arrival.  A
     /// request still waiting for the engine when its budget runs out is
     /// answered `deadline-exceeded` instead of occupying the engine.
@@ -116,35 +130,36 @@ impl RequestError {
     }
 }
 
-/// Parses one request line.  The parsed envelope is taken apart by move:
-/// `params` (the bulk of a `query-batch` or `ingest` line) is the parser's
-/// own tree, never a copy.  As with [`Value::get`], the first occurrence of
-/// a duplicated envelope key wins.
-pub fn parse_request(line: &str) -> Result<Request, RequestError> {
-    let value: Value = serde_json::from_str(line)
-        .map_err(|e| RequestError::new(ErrorCode::ParseError, e.to_string()))?;
-    let fields = match value {
-        Value::Object(fields) => fields,
-        other => {
-            return Err(RequestError::new(
-                ErrorCode::InvalidRequest,
-                format!("a request must be a JSON object, found {}", other.kind()),
-            ))
-        }
-    };
+/// Parses one request line.  The whole line is validated — a syntax error
+/// anywhere is a `parse-error` — but only `id`, `method` and
+/// `deadline_ms` are built; `params` stays text.  As with [`Value::get`],
+/// the first occurrence of a duplicated envelope key wins.
+pub fn parse_request(line: &str) -> Result<Request<'_>, RequestError> {
+    let syntax = |e: serde_json::Error| RequestError::new(ErrorCode::ParseError, e.to_string());
+    let mut cursor = Cursor::new(line);
+    let kind = cursor.peek_kind().map_err(syntax)?;
+    if kind != Kind::Object {
+        cursor.skip_value().map_err(syntax)?;
+        cursor.finish().map_err(syntax)?;
+        return Err(RequestError::new(
+            ErrorCode::InvalidRequest,
+            format!("a request must be a JSON object, found {}", kind.name()),
+        ));
+    }
     let (mut id, mut method, mut params, mut deadline) = (None, None, None, None);
-    for (key, field) in fields {
-        let slot = match key.as_str() {
-            "id" => &mut id,
-            "method" => &mut method,
-            "params" => &mut params,
-            "deadline_ms" => &mut deadline,
-            _ => continue,
-        };
-        if slot.is_none() {
-            *slot = Some(field);
+    cursor.begin_object().map_err(syntax)?;
+    while let Some(key) = cursor.next_key().map_err(syntax)? {
+        match &*key {
+            "id" if id.is_none() => id = Some(cursor.value().map_err(syntax)?),
+            "method" if method.is_none() => method = Some(cursor.value().map_err(syntax)?),
+            "deadline_ms" if deadline.is_none() => deadline = Some(cursor.value().map_err(syntax)?),
+            "params" if params.is_none() => params = Some(cursor.skip_value().map_err(syntax)?),
+            _ => {
+                cursor.skip_value().map_err(syntax)?;
+            }
         }
     }
+    cursor.finish().map_err(syntax)?;
     let id = id.unwrap_or(Value::Null);
     let invalid = |id, message| RequestError {
         code: ErrorCode::InvalidRequest,
@@ -159,7 +174,7 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
         }
         None => return Err(invalid(id, "request has no `method` field".to_string())),
     };
-    let params = params.unwrap_or_else(|| Value::Object(Vec::new()));
+    let params = params.unwrap_or(Raw::EMPTY_OBJECT);
     let deadline_ms = match deadline {
         None | Some(Value::Null) => None,
         Some(v) => match v.as_u64() {
@@ -359,38 +374,158 @@ fn error_line_full(
     serde_json::to_string(&envelope).expect("value serialisation is infallible")
 }
 
-/// Interprets a `{"attribute": "value", …}` object (or `null`) as a partial
-/// assignment under the schema.
-pub fn assignment_from_value(
+/// What a [`Raw`] handed out by [`parse_request`] guarantees: it was
+/// validated, so reading it again cannot fail.
+const VALIDATED: &str = "request params are validated by parse_request";
+
+/// Borrowed `(attribute, value)` names of one assignment, reused across the
+/// entries of a batch so that decoding allocates only the assignments.
+type Names<'a> = Vec<(Cow<'a, str>, Cow<'a, str>)>;
+
+/// Decodes the question of a `query` or `explain` request: the `target`
+/// and `evidence` members of `params`.
+pub fn question(schema: &Schema, params: Raw<'_>) -> Result<Query, RequestError> {
+    decode_question(schema, &mut params.cursor(), &mut Vec::new())
+}
+
+/// Decodes every entry of a `query-batch` request's `params.queries`, in
+/// one pass over the text.  A malformed `queries` fails the request; a
+/// malformed entry fails only its own slot, so the batch's other entries
+/// still answer.
+pub fn batch_questions(
     schema: &Schema,
-    value: &Value,
-    what: &str,
-) -> Result<Assignment, RequestError> {
-    match value {
-        Value::Null => Ok(Assignment::empty()),
-        Value::Object(fields) => {
-            let mut pairs: Vec<(&str, &str)> = Vec::with_capacity(fields.len());
-            for (attr, v) in fields {
-                let Value::Str(value_name) = v else {
-                    return Err(RequestError::new(
-                        ErrorCode::InvalidParams,
-                        format!(
-                            "`{what}.{attr}` must be a value name (string), found {}",
-                            v.kind()
-                        ),
-                    ));
-                };
-                pairs.push((attr.as_str(), value_name.as_str()));
+    params: Raw<'_>,
+) -> Result<Vec<Result<Query, RequestError>>, RequestError> {
+    let mut cursor = params.cursor();
+    if params.kind() == Kind::Object {
+        cursor.begin_object().expect(VALIDATED);
+        while let Some(key) = cursor.next_key().expect(VALIDATED) {
+            if key != "queries" {
+                cursor.skip_value().expect(VALIDATED);
+                continue;
             }
-            Assignment::from_names(schema, &pairs).map_err(|e| {
-                RequestError::new(ErrorCode::InvalidParams, format!("bad `{what}`: {e}"))
-            })
+            // The first `queries` is the one read; the text after it is
+            // already validated and cannot change the answer.
+            let kind = cursor.peek_kind().expect(VALIDATED);
+            if kind != Kind::Array {
+                return Err(invalid_params(format!(
+                    "`queries` must be an array of query objects, found {}",
+                    kind.name()
+                )));
+            }
+            let mut names = Vec::new();
+            let mut questions = Vec::new();
+            cursor.begin_array().expect(VALIDATED);
+            while cursor.next_element().expect(VALIDATED) {
+                let kind = cursor.peek_kind().expect(VALIDATED);
+                questions.push(if kind == Kind::Object {
+                    decode_question(schema, &mut cursor, &mut names)
+                } else {
+                    cursor.skip_value().expect(VALIDATED);
+                    Err(invalid_params(format!(
+                        "a batch entry must be a query object, found {}",
+                        kind.name()
+                    )))
+                });
+            }
+            return Ok(questions);
         }
-        other => Err(RequestError::new(
-            ErrorCode::InvalidParams,
-            format!("`{what}` must be an object of attribute: value names, found {}", other.kind()),
-        )),
     }
+    Err(invalid_params("missing `queries`".to_string()))
+}
+
+/// The one decoder of a question, for `query`, `explain` and each
+/// `query-batch` entry: reads the value at `cursor` and takes its first
+/// `target` and `evidence` members (a missing member, or a value that is
+/// not an object, reads as `null`), each an object of attribute: value
+/// names resolved through [`Assignment::from_names`].  A bad target is
+/// reported before a bad evidence, whichever comes first in the text, and
+/// the target must name an attribute.
+fn decode_question<'a>(
+    schema: &Schema,
+    cursor: &mut Cursor<'a>,
+    names: &mut Names<'a>,
+) -> Result<Query, RequestError> {
+    let (mut target, mut evidence) = (None, None);
+    if cursor.peek_kind().expect(VALIDATED) == Kind::Object {
+        cursor.begin_object().expect(VALIDATED);
+        while let Some(key) = cursor.next_key().expect(VALIDATED) {
+            match &*key {
+                "target" if target.is_none() => {
+                    target = Some(decode_assignment(schema, cursor, "target", names))
+                }
+                "evidence" if evidence.is_none() => {
+                    evidence = Some(decode_assignment(schema, cursor, "evidence", names))
+                }
+                _ => {
+                    cursor.skip_value().expect(VALIDATED);
+                }
+            }
+        }
+    } else {
+        cursor.skip_value().expect(VALIDATED);
+    }
+    let target = target.unwrap_or_else(|| Ok(Assignment::empty()))?;
+    let evidence = evidence.unwrap_or_else(|| Ok(Assignment::empty()))?;
+    if target.vars().is_empty() {
+        return Err(invalid_params("`target` must assign at least one attribute".to_string()));
+    }
+    Ok(Query::conditional(target, evidence))
+}
+
+/// Reads the value at `cursor` as a partial assignment under the schema: a
+/// `{"attribute": "value", …}` object, or `null`.  Every value must be a
+/// string — the first that is not is the error — before any name is
+/// looked up.
+fn decode_assignment<'a>(
+    schema: &Schema,
+    cursor: &mut Cursor<'a>,
+    what: &str,
+    names: &mut Names<'a>,
+) -> Result<Assignment, RequestError> {
+    match cursor.peek_kind().expect(VALIDATED) {
+        Kind::Null => {
+            cursor.skip_value().expect(VALIDATED);
+            Ok(Assignment::empty())
+        }
+        Kind::Object => {
+            names.clear();
+            let mut not_a_name = None;
+            cursor.begin_object().expect(VALIDATED);
+            while let Some(attr) = cursor.next_key().expect(VALIDATED) {
+                let kind = cursor.peek_kind().expect(VALIDATED);
+                if kind == Kind::String && not_a_name.is_none() {
+                    names.push((attr, cursor.string().expect(VALIDATED)));
+                } else {
+                    if kind != Kind::String {
+                        not_a_name.get_or_insert_with(|| {
+                            invalid_params(format!(
+                                "`{what}.{attr}` must be a value name (string), found {}",
+                                kind.name()
+                            ))
+                        });
+                    }
+                    cursor.skip_value().expect(VALIDATED);
+                }
+            }
+            if let Some(error) = not_a_name {
+                return Err(error);
+            }
+            Assignment::from_names(schema, names)
+                .map_err(|e| invalid_params(format!("bad `{what}`: {e}")))
+        }
+        other => {
+            cursor.skip_value().expect(VALIDATED);
+            Err(invalid_params(format!(
+                "`{what}` must be an object of attribute: value names, found {}",
+                other.name()
+            )))
+        }
+    }
+}
+
+fn invalid_params(message: String) -> RequestError {
+    RequestError::new(ErrorCode::InvalidParams, message)
 }
 
 /// Renders a partial assignment as a `{"attribute": "value", …}` object.
@@ -406,38 +541,58 @@ pub fn assignment_to_value(schema: &Schema, assignment: &Assignment) -> Value {
 }
 
 /// Interprets `params.rows` as a batch of raw tuples (arrays of value
-/// indices).
-pub fn rows_from_value(params: &Value) -> Result<Vec<Vec<usize>>, RequestError> {
-    let Some(rows_value) = params.get("rows") else {
-        return Err(RequestError::new(ErrorCode::InvalidParams, "missing `rows`"));
-    };
-    let Value::Array(rows) = rows_value else {
-        return Err(RequestError::new(
-            ErrorCode::InvalidParams,
-            format!("`rows` must be an array of rows, found {}", rows_value.kind()),
-        ));
-    };
-    let mut parsed = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let Value::Array(cells) = row else {
-            return Err(RequestError::new(
-                ErrorCode::InvalidParams,
-                format!("`rows[{i}]` must be an array of value indices, found {}", row.kind()),
-            ));
-        };
-        let mut values = Vec::with_capacity(cells.len());
-        for (j, cell) in cells.iter().enumerate() {
+/// indices), read in place from the validated request text.
+pub fn rows_from_value(params: &Raw<'_>) -> Result<Vec<Vec<usize>>, RequestError> {
+    let mut rows = params.cursor();
+    if params.kind() == Kind::Object {
+        rows.begin_object().expect(VALIDATED);
+        while let Some(key) = rows.next_key().expect(VALIDATED) {
+            if key == "rows" {
+                // The first `rows` is the one read, as with `Value::get`.
+                return decode_rows(&mut rows);
+            }
+            rows.skip_value().expect(VALIDATED);
+        }
+    }
+    Err(invalid_params("missing `rows`".to_string()))
+}
+
+/// Reads the array of rows at `rows`.
+fn decode_rows(rows: &mut Cursor<'_>) -> Result<Vec<Vec<usize>>, RequestError> {
+    let kind = rows.peek_kind().expect(VALIDATED);
+    if kind != Kind::Array {
+        return Err(invalid_params(format!(
+            "`rows` must be an array of rows, found {}",
+            kind.name()
+        )));
+    }
+    let mut parsed = Vec::new();
+    // The rows of a batch share one width: size each row like the last.
+    let mut width = 0;
+    rows.begin_array().expect(VALIDATED);
+    while rows.next_element().expect(VALIDATED) {
+        let i = parsed.len();
+        let kind = rows.peek_kind().expect(VALIDATED);
+        if kind != Kind::Array {
+            return Err(invalid_params(format!(
+                "`rows[{i}]` must be an array of value indices, found {}",
+                kind.name()
+            )));
+        }
+        let mut values = Vec::with_capacity(width);
+        rows.begin_array().expect(VALIDATED);
+        while rows.next_element().expect(VALIDATED) {
+            let cell = rows.value().expect(VALIDATED);
             let Some(v) = cell.as_u64() else {
-                return Err(RequestError::new(
-                    ErrorCode::InvalidParams,
-                    format!(
-                        "`rows[{i}][{j}]` must be a non-negative value index, found {}",
-                        cell.kind()
-                    ),
-                ));
+                return Err(invalid_params(format!(
+                    "`rows[{i}][{}]` must be a non-negative value index, found {}",
+                    values.len(),
+                    cell.kind()
+                )));
             };
             values.push(v as usize);
         }
+        width = values.len();
         parsed.push(values);
     }
     Ok(parsed)
@@ -539,46 +694,77 @@ mod tests {
     #[test]
     fn assignments_convert_both_ways() {
         let s = schema();
-        let v = object([
+        let target = object([
             ("cancer", Value::Str("yes".into())),
             ("smoking", Value::Str("smoker".into())),
         ]);
-        let a = assignment_from_value(&s, &v, "target").unwrap();
-        assert_eq!(a, Assignment::from_pairs([(0, 0), (1, 0)]));
-        let back = assignment_to_value(&s, &a);
+        let params = object([("target", target)]);
+        let line = request_line(1, "query", &params);
+        let q = question(&s, parse_request(&line).unwrap().params).unwrap();
+        assert_eq!(q.target, Assignment::from_pairs([(0, 0), (1, 0)]));
+        // A missing evidence means "no evidence"; so does null.
+        assert_eq!(q.evidence, Assignment::empty());
+        let back = assignment_to_value(&s, &q.target);
         assert_eq!(back.get("smoking"), Some(&Value::Str("smoker".into())));
         assert_eq!(back.get("cancer"), Some(&Value::Str("yes".into())));
-        // Null means "no evidence".
+        let decode = |params: &str| {
+            let line = format!("{{\"id\":1,\"method\":\"query\",\"params\":{params}}}");
+            let request = parse_request(&line).unwrap();
+            question(&s, request.params).map_err(|e| (e.code, e.message))
+        };
+        assert!(decode(r#"{"target":{"cancer":"yes"},"evidence":null}"#).is_ok());
+        // Unknown names, wrong shapes and an empty target are invalid-params.
+        for (params, message) in [
+            (r#"{"target":{"age":"old"}}"#, "bad `target`: "),
+            (
+                r#"{"target":"cancer"}"#,
+                "`target` must be an object of attribute: value names, found string",
+            ),
+            (
+                r#"{"target":{"cancer":7}}"#,
+                "`target.cancer` must be a value name (string), found integer",
+            ),
+            (
+                r#"{"target":{"cancer":"yes"},"evidence":[]}"#,
+                "`evidence` must be an object of attribute: value names, found array",
+            ),
+            (r#"{"evidence":{"cancer":"yes"}}"#, "`target` must assign at least one attribute"),
+        ] {
+            let (code, text) = decode(params).unwrap_err();
+            assert_eq!(code, ErrorCode::InvalidParams, "{params}");
+            assert!(text.starts_with(message), "{params}: {text}");
+        }
+    }
+
+    #[test]
+    fn batch_entries_fail_alone() {
+        let s = schema();
+        let line = r#"{"method":"query-batch","params":{"queries":[{"target":{"cancer":"yes"}},7,{"target":{"cancer":"maybe"}}]}}"#;
+        let questions = batch_questions(&s, parse_request(line).unwrap().params).unwrap();
+        assert_eq!(questions.len(), 3);
+        assert!(questions[0].is_ok());
         assert_eq!(
-            assignment_from_value(&s, &Value::Null, "evidence").unwrap(),
-            Assignment::empty()
+            questions[1].as_ref().unwrap_err().message,
+            "a batch entry must be a query object, found integer"
         );
-        // Unknown names and wrong shapes are invalid-params.
-        let bad = object([("age", Value::Str("old".into()))]);
+        assert_eq!(questions[2].as_ref().unwrap_err().code, ErrorCode::InvalidParams);
+        let not_array =
+            parse_request(r#"{"method":"query-batch","params":{"queries":{}}}"#).unwrap();
         assert_eq!(
-            assignment_from_value(&s, &bad, "target").unwrap_err().code,
-            ErrorCode::InvalidParams
-        );
-        let not_obj = Value::Str("cancer".into());
-        assert_eq!(
-            assignment_from_value(&s, &not_obj, "target").unwrap_err().code,
-            ErrorCode::InvalidParams
+            batch_questions(&s, not_array.params).unwrap_err().message,
+            "`queries` must be an array of query objects, found object"
         );
     }
 
     #[test]
     fn rows_parse_and_reject() {
-        let params = object([(
-            "rows",
-            Value::Array(vec![
-                Value::Array(vec![Value::U64(0), Value::U64(1)]),
-                Value::Array(vec![Value::U64(1), Value::U64(0)]),
-            ]),
-        )]);
-        assert_eq!(rows_from_value(&params).unwrap(), vec![vec![0, 1], vec![1, 0]]);
-        let missing = object([]);
-        assert_eq!(rows_from_value(&missing).unwrap_err().code, ErrorCode::InvalidParams);
-        let negative = object([("rows", Value::Array(vec![Value::Array(vec![Value::I64(-1)])]))]);
-        assert_eq!(rows_from_value(&negative).unwrap_err().code, ErrorCode::InvalidParams);
+        let rows = |params: &str| {
+            let line = format!("{{\"method\":\"ingest\",\"params\":{params}}}");
+            rows_from_value(&parse_request(&line).unwrap().params).map_err(|e| e.code)
+        };
+        assert_eq!(rows(r#"{"rows":[[0,1],[1, 0]]}"#), Ok(vec![vec![0, 1], vec![1, 0]]));
+        assert_eq!(rows("{}"), Err(ErrorCode::InvalidParams));
+        assert_eq!(rows(r#"{"rows":[[-1]]}"#), Err(ErrorCode::InvalidParams));
+        assert_eq!(rows(r#"{"rows":[[0],"x"]}"#), Err(ErrorCode::InvalidParams));
     }
 }

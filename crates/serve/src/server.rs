@@ -50,8 +50,8 @@
 use crate::admission::{AdmissionCounters, DeadlineLayer, RateLimitConfig, RateLimitLayer};
 use crate::error::ServeError;
 use crate::protocol::{
-    self, assignment_from_value, assignment_to_value, error_line, ok_line, parse_request,
-    rows_from_value, ErrorCode, Request, DEFAULT_MAX_LINE_BYTES,
+    self, assignment_to_value, error_line, ok_line, parse_request, rows_from_value, ErrorCode,
+    Request, DEFAULT_MAX_LINE_BYTES,
 };
 use crate::queue::{
     engine_channel, CommandClass, EngineQueue, EngineSender, PushRefusal, QueueEntry, RecvOutcome,
@@ -1404,54 +1404,22 @@ fn dispatch(
         }
         "query" => {
             let snapshot = shared.snapshots.load().ok_or_else(no_snapshot)?;
-            let answer = answer_query(
-                &snapshot,
-                param(request, "target"),
-                param(request, "evidence"),
-                shared,
-            )?;
+            let question = protocol::question(snapshot.knowledge_base().schema(), request.params)?;
+            let answer = answer_query(&snapshot, question, shared)?;
             open(single_query_value(&snapshot, answer))
         }
         "query-batch" => {
             let snapshot = shared.snapshots.load().ok_or_else(no_snapshot)?;
-            let queries = match request.params.get("queries") {
-                Some(Value::Array(queries)) => queries,
-                Some(other) => {
-                    return Err(invalid_params(&format!(
-                        "`queries` must be an array of query objects, found {}",
-                        other.kind()
-                    )))
-                }
-                None => return Err(invalid_params("missing `queries`")),
-            };
+            let questions =
+                protocol::batch_questions(snapshot.knowledge_base().schema(), request.params)?;
             // One snapshot load for the whole batch: every entry is
             // answered from the same immutable state, so a refit landing
             // mid-batch can never produce torn answers within one response.
-            let results: Vec<Value> = queries
-                .iter()
-                .map(|entry| {
-                    let (target, evidence) = match entry {
-                        Value::Object(_) => (entry.get("target"), entry.get("evidence")),
-                        other => {
-                            return batch_error_value(
-                                ErrorCode::InvalidParams,
-                                &format!(
-                                    "a batch entry must be a query object, found {}",
-                                    other.kind()
-                                ),
-                            )
-                        }
-                    };
-                    let null = Value::Null;
-                    match answer_query(
-                        &snapshot,
-                        target.unwrap_or(&null),
-                        evidence.unwrap_or(&null),
-                        shared,
-                    ) {
-                        Ok(answer) => batch_entry_value(answer),
-                        Err(e) => batch_error_value(e.code, &e.message),
-                    }
+            let results: Vec<Value> = questions
+                .into_iter()
+                .map(|question| match question.and_then(|q| answer_query(&snapshot, q, shared)) {
+                    Ok(answer) => batch_entry_value(answer),
+                    Err(e) => batch_error_value(e.code, &e.message),
                 })
                 .collect();
             open(protocol::object([
@@ -1465,8 +1433,7 @@ fn dispatch(
             let snapshot = shared.snapshots.load().ok_or_else(no_snapshot)?;
             let kb = snapshot.knowledge_base();
             let schema = kb.schema();
-            let Query { target, evidence } =
-                question(kb, param(request, "target"), param(request, "evidence"))?;
+            let Query { target, evidence } = protocol::question(schema, request.params)?;
             let explanation = explain_query_with(kb, &target, &evidence, counted(kb, shared))
                 .map_err(|e| protocol::RequestError { id: request.id.clone(), ..query_error(e) })?;
             let steps = explanation
@@ -1563,7 +1530,8 @@ fn dispatch(
         }
         "shard-push" => {
             require_role(request, shared, &[FabricRole::Standalone, FabricRole::Coordinator])?;
-            let source = match request.params.get("source") {
+            let params = request.params.to_value();
+            let source = match params.get("source") {
                 Some(Value::Str(s)) if !s.is_empty() => s.clone(),
                 Some(Value::Str(_)) => {
                     return Err(invalid_params("`source` must be a non-empty string"))
@@ -1576,14 +1544,14 @@ fn dispatch(
                 }
                 None => return Err(invalid_params("missing `source`")),
             };
-            let seq = match request.params.get("seq") {
+            let seq = match params.get("seq") {
                 Some(v) => {
                     v.as_u64().ok_or_else(|| invalid_params("`seq` must be an unsigned integer"))?
                 }
                 None => return Err(invalid_params("missing `seq`")),
             };
             let shard_value =
-                request.params.get("shard").ok_or_else(|| invalid_params("missing `shard`"))?;
+                params.get("shard").ok_or_else(|| invalid_params("missing `shard`"))?;
             let shard = CountShard::from_value(shard_value)
                 .map_err(|e| stream_error_to_request(e, request))?;
             let reply = summary_responder::<ShardPushSummary>(request, shared, completion);
@@ -1633,12 +1601,11 @@ fn dispatch(
         }
         "snapshot-sync" => {
             require_role(request, shared, &[FabricRole::Replica])?;
-            let meta_value =
-                request.params.get("meta").ok_or_else(|| invalid_params("missing `meta`"))?;
+            let params = request.params.to_value();
+            let meta_value = params.get("meta").ok_or_else(|| invalid_params("missing `meta`"))?;
             let meta = SnapshotMeta::from_value(meta_value)
                 .map_err(|e| stream_error_to_request(e, request))?;
-            let kb_value = request
-                .params
+            let kb_value = params
                 .get("knowledge_base")
                 .ok_or_else(|| invalid_params("missing `knowledge_base`"))?;
             let knowledge_base: KnowledgeBase = Deserialize::deserialize(kb_value)
@@ -1684,21 +1651,6 @@ fn dispatch(
     }
 }
 
-/// Parses the `target` and `evidence` of a `query`, `query-batch` entry
-/// or `explain` against the knowledge base's schema.
-fn question(
-    kb: &KnowledgeBase,
-    target: &Value,
-    evidence: &Value,
-) -> Result<Query, protocol::RequestError> {
-    let target = assignment_from_value(kb.schema(), target, "target")?;
-    let evidence = assignment_from_value(kb.schema(), evidence, "evidence")?;
-    if target.vars().is_empty() {
-        return Err(invalid_params("`target` must assign at least one attribute"));
-    }
-    Ok(Query::conditional(target, evidence))
-}
-
 /// Answers one `P(target | evidence)` question against a snapshot —
 /// shared by `query` and every `query-batch` entry, so the two paths can
 /// never drift apart arithmetically.  The answer is [`Query::answer`]
@@ -1706,12 +1658,11 @@ fn question(
 /// knowledge base's own evaluation path ([`counted`]).
 fn answer_query(
     snapshot: &Snapshot,
-    target: &Value,
-    evidence: &Value,
+    question: Query,
     shared: &Shared,
 ) -> Result<QueryResult, protocol::RequestError> {
     let kb = snapshot.knowledge_base();
-    question(kb, target, evidence)?.answer(kb.schema(), counted(kb, shared)).map_err(query_error)
+    question.answer(kb.schema(), counted(kb, shared)).map_err(query_error)
 }
 
 /// A knowledge base's marginal probabilities ([`KnowledgeBase::evaluate`]),
@@ -1846,10 +1797,6 @@ fn schema_value(schema: &Schema) -> Value {
         })
         .collect();
     protocol::object([("attributes", Value::Array(attributes))])
-}
-
-fn param<'a>(request: &'a Request, name: &str) -> &'a Value {
-    request.params.get(name).unwrap_or(&Value::Null)
 }
 
 fn no_snapshot() -> protocol::RequestError {
