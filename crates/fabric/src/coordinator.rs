@@ -3,12 +3,11 @@
 //! A coordinator is a [`pka_serve::Server`] in the
 //! [`FabricRole::Coordinator`] role — it accepts `shard-push` deliveries
 //! from ingest nodes into the engine's placement map and refits over the
-//! merged counts — plus one **pump thread** that (a) optionally *pulls*
-//! shards from ingest nodes that cannot push, and (b) offers every newly
+//! merged counts — plus one **pump thread** that offers every newly
 //! published snapshot to each configured replica via `snapshot-sync`.
 //!
 //! The pump is event-driven: it blocks on the server's
-//! [`ChangeWatch`](pka_serve::ChangeWatch) and offers a snapshot as soon
+//! [`pka_serve::ChangeWatch`] and offers a snapshot as soon
 //! as the engine publishes it.  It is deliberately stateless about replica
 //! health: it tracks only the highest version each replica has
 //! acknowledged and re-offers the current snapshot, every sync interval,
@@ -25,7 +24,7 @@ use pka_stream::SnapshotHandle;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of a [`Coordinator`].
 #[derive(Debug, Clone)]
@@ -35,12 +34,9 @@ pub struct CoordinatorConfig {
     pub serve: ServeConfig,
     /// Addresses of replicas to keep in sync via `snapshot-sync`.
     pub replicas: Vec<String>,
-    /// Addresses of ingest nodes to poll via `shard-pull` (push-capable
-    /// nodes need no entry here).
-    pub ingest_nodes: Vec<String>,
     /// How often the pump re-offers the current snapshot to a replica
-    /// whose last sync failed, and polls the `shard-pull` ingest nodes.
-    /// Fresh snapshots are offered on publish, not on this timer.
+    /// whose last sync failed.  Fresh snapshots are offered on publish,
+    /// not on this timer.
     pub sync_interval: Duration,
     /// Retry policy for every peer conversation.
     pub retry: RetryPolicy,
@@ -51,7 +47,6 @@ impl Default for CoordinatorConfig {
         Self {
             serve: ServeConfig::new(),
             replicas: Vec::new(),
-            ingest_nodes: Vec::new(),
             sync_interval: Duration::from_millis(25),
             retry: RetryPolicy::default(),
         }
@@ -59,7 +54,7 @@ impl Default for CoordinatorConfig {
 }
 
 impl CoordinatorConfig {
-    /// Defaults: no peers, 25 ms re-offer and poll interval.
+    /// Defaults: no replicas, 25 ms re-offer interval.
     pub fn new() -> Self {
         Self::default()
     }
@@ -76,13 +71,7 @@ impl CoordinatorConfig {
         self
     }
 
-    /// Adds an ingest-node address to poll via `shard-pull`.
-    pub fn with_ingest_node(mut self, addr: impl Into<String>) -> Self {
-        self.ingest_nodes.push(addr.into());
-        self
-    }
-
-    /// Sets the re-offer and poll interval.
+    /// Sets the re-offer interval.
     pub fn with_sync_interval(mut self, interval: Duration) -> Self {
         self.sync_interval = interval;
         self
@@ -117,9 +106,7 @@ impl Coordinator {
         let changes = server.changes();
         let pump = spawn_pump(
             server.snapshots(),
-            addr,
             config.replicas,
-            config.ingest_nodes,
             config.sync_interval,
             config.retry,
             Arc::clone(&changes),
@@ -174,12 +161,9 @@ impl Drop for Coordinator {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn spawn_pump(
     snapshots: SnapshotHandle,
-    self_addr: SocketAddr,
     replicas: Vec<String>,
-    ingest_nodes: Vec<String>,
     interval: Duration,
     retry: RetryPolicy,
     changes: Arc<ChangeWatch>,
@@ -191,37 +175,10 @@ fn spawn_pump(
             .into_iter()
             .map(|addr| (FabricClient::new(addr, retry.clone()), None))
             .collect();
-        // One highest-absorbed sequence per polled ingest node.
-        let mut pulls: Vec<(FabricClient, u64)> = ingest_nodes
-            .into_iter()
-            .map(|addr| (FabricClient::new(addr, retry.clone()), 0))
-            .collect();
-        // Pulled shards are delivered to the engine through the node's own
-        // public `shard-push` endpoint, so the push and pull paths share
-        // one absorption code path (and its sequence gating).
-        let mut loopback = FabricClient::new(self_addr.to_string(), retry);
-        let mut next_poll = Instant::now();
         // The generation is read before the snapshot is loaded, so a
         // publish that lands mid-pass is caught by the next wait.
         let mut generation = changes.generation();
         while let Some(seen) = generation {
-            // Pull-only nodes cannot announce a change: poll them on the
-            // interval, whatever else woke the pump.
-            if !pulls.is_empty() && Instant::now() >= next_poll {
-                for (peer, last_seq) in pulls.iter_mut() {
-                    let pulled = peer.call(|c| c.shard_pull());
-                    if let Ok(answer) = pulled {
-                        if answer.seq > *last_seq {
-                            let pushed = loopback
-                                .call(|c| c.shard_push(&answer.source, answer.seq, &answer.shard));
-                            if pushed.is_ok() {
-                                *last_seq = answer.seq;
-                            }
-                        }
-                    }
-                }
-                next_poll = Instant::now() + interval;
-            }
             if let Some(snapshot) = snapshots.load() {
                 let meta = snapshot.meta();
                 for (peer, acked) in replicas.iter_mut() {
@@ -238,13 +195,8 @@ fn spawn_pump(
                 }
             }
             // Wake on the next publish; otherwise re-offer to a behind
-            // replica (and poll pull-only nodes) once the interval is up.
-            let wait = if pulls.is_empty() {
-                interval
-            } else {
-                next_poll.saturating_duration_since(Instant::now())
-            };
-            generation = changes.wait_past(seen, wait);
+            // replica once the interval is up.
+            generation = changes.wait_past(seen, interval);
         }
     })
 }

@@ -5,7 +5,7 @@
 //! as they would into a standalone server, but the node never refits — its
 //! refresh policy is forced to manual, so it stays a cheap tabulator.  A
 //! **pusher thread** blocks on the server's
-//! [`ChangeWatch`](pka_serve::ChangeWatch) and, as soon as a batch has been
+//! [`pka_serve::ChangeWatch`] and, as soon as a batch has been
 //! journalled and acknowledged, ships the node's *cumulative*
 //! [`pka_stream::CountShard`] to the coordinator under the tuple count as
 //! the sequence number.  One push is in flight at a time; batches that

@@ -3,8 +3,7 @@
 //! as the mini-cluster smoke test).
 //!
 //! ```text
-//! pka-fabric coordinator NODE-FLAGS [--replica ADDR]... [--pull ADDR]...
-//!                        [--sync-interval-ms N]
+//! pka-fabric coordinator NODE-FLAGS [--replica ADDR]... [--sync-interval-ms N]
 //! pka-fabric ingest-node NODE-FLAGS --coordinator ADDR [--name NAME]
 //!                        [--push-interval-ms N]
 //! pka-fabric replica     NODE-FLAGS [--coordinator ADDR]
@@ -41,7 +40,7 @@
 //!
 //! * `--push-interval-ms` — retry delay after a failed push;
 //! * `--sync-interval-ms` — re-offer delay to a replica whose last sync
-//!   failed, and the poll period for `--pull` ingest nodes;
+//!   failed;
 //! * `--pull-interval-ms` — poll period of a replica given `--coordinator`.
 //!
 //! `probe --storm-requests N` hammers the coordinator with pipelined
@@ -66,7 +65,7 @@ use pka_serve::cli::{self, Options};
 use pka_serve::{LineClient, ServeConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -91,7 +90,6 @@ const FABRIC_FLAGS: &[&str] = &[
     "--name",
     "--coordinator",
     "--replica",
-    "--pull",
     "--sync-interval-ms",
     "--push-interval-ms",
     "--pull-interval-ms",
@@ -121,9 +119,6 @@ fn coordinator(args: &[String]) -> Result<(), String> {
     )?);
     for replica in options.values("--replica") {
         config = config.with_replica(replica);
-    }
-    for node in options.values("--pull") {
-        config = config.with_ingest_node(node);
     }
     let node = Coordinator::start(schema, config).map_err(|e| e.to_string())?;
     cli::run_node(node.addr(), node.shutdown_trigger(), || node.wait().map_err(|e| e.to_string()))
@@ -255,7 +250,7 @@ fn probe(args: &[String]) -> Result<(), String> {
             println!("probe: ingested {} rows into {addr}", share.len());
         }
         // Wait for the pushers to deliver every tuple.
-        wait_for(timeout, "coordinator to hold all pushed tuples", || {
+        cli::wait_for(timeout, "coordinator to hold all pushed tuples", || {
             let stats = coordinator.stats().map_err(|e| e.to_string())?;
             Ok(stats.total_ingested >= rows.len() as u64)
         })?;
@@ -287,7 +282,7 @@ fn probe(args: &[String]) -> Result<(), String> {
     for addr in &replica_addrs {
         let mut replica = LineClient::connect(addr).map_err(|e| format!("replica {addr}: {e}"))?;
         let mut last_seen = 0u64;
-        wait_for(timeout, "replica to reach the coordinator's version", || {
+        cli::wait_for(timeout, "replica to reach the coordinator's version", || {
             let version = replica.snapshot_version().map_err(|e| e.to_string())?.unwrap_or(0);
             if version < last_seen {
                 return Err(format!("replica {addr} went backwards: {last_seen} -> {version}"));
@@ -315,27 +310,12 @@ fn probe(args: &[String]) -> Result<(), String> {
     // Optional fan-in check: park N extra idle connections on the
     // coordinator and make it count them, proving the reactor carries the
     // fabric's connection load without a thread per socket.
-    if let Some(hold) = options.value("--idle-hold") {
-        let hold: usize = hold.parse().map_err(|_| format!("bad --idle-hold `{hold}`"))?;
-        let mut held = Vec::with_capacity(hold);
-        for i in 0..hold {
-            held.push(
-                std::net::TcpStream::connect(coordinator_addr)
-                    .map_err(|e| format!("idle-hold connect {i}: {e}"))?,
-            );
-        }
-        // `+ 1` for the probe's own protocol connection; pusher and pump
-        // connections from the other roles only push the count higher.
-        wait_for(timeout, "coordinator to report every held connection", || {
-            let stats = coordinator.server_stats().map_err(|e| e.to_string())?;
-            Ok(stats.open_connections > hold as u64)
-        })?;
-        let stats = coordinator.server_stats().map_err(|e| e.to_string())?;
+    if let Some(hold) = options.parsed("--idle-hold")? {
+        let stats = cli::hold_idle(coordinator_addr, hold, &mut coordinator, timeout)?;
         println!(
             "probe: idle-hold ok ({} connections open, shard occupancy {:?})",
             stats.open_connections, stats.shard_connections
         );
-        drop(held);
     }
 
     if options.present("--shutdown") {
@@ -349,22 +329,4 @@ fn probe(args: &[String]) -> Result<(), String> {
         println!("probe: coordinator shutdown acknowledged");
     }
     Ok(())
-}
-
-/// Polls `check` until it returns true or `timeout` elapses.
-fn wait_for(
-    timeout: Duration,
-    what: &str,
-    mut check: impl FnMut() -> Result<bool, String>,
-) -> Result<(), String> {
-    let start = Instant::now();
-    loop {
-        if check()? {
-            return Ok(());
-        }
-        if start.elapsed() > timeout {
-            return Err(format!("timed out waiting for {what}"));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
 }

@@ -126,7 +126,7 @@ impl MarginalTable {
 /// lookup vector has `2^attrs` entries — 64 KiB of `u32` at 16 attributes,
 /// the largest acceptable per-snapshot cost).  Wider schemas — reachable
 /// since factored evaluation broke the dense-joint ceiling — fall back to
-/// the `HashMap` path of [`MarginalLattice::position`]; both paths answer
+/// the `HashMap` path of `MarginalLattice::position`; both paths answer
 /// identically (covered in this module's tests at 17+ attributes).
 pub const MAX_DENSE_LOOKUP_VARS: usize = 16;
 
@@ -244,7 +244,7 @@ impl MarginalLattice {
     ///
     /// Covered assignments with out-of-range values yield `Some(0.0)` —
     /// they match no cell, the same contract as
-    /// [`JointDistribution::probability`].
+    /// [`crate::JointDistribution::probability`].
     #[inline]
     pub fn probability(&self, assignment: &Assignment) -> Option<f64> {
         let pos = self.position(assignment.vars())?;

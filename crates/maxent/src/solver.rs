@@ -35,9 +35,9 @@
 //! floating-point rounding, the two iterations follow the same trajectory
 //! and reach the same fixed point; the per-cell difference after a fit is
 //! bounded by accumulated rounding (≤ 1e-12 in practice, property-tested in
-//! `tests/solver_equivalence.rs` against [`reference`]).  To keep the
+//! `tests/solver_equivalence.rs` against [`mod@reference`]).  To keep the
 //! incrementally-tracked `z` from drifting over very long fits, the kernel
-//! re-sums the vector exactly every [`EXACT_RENORM_EVERY`] sweeps.
+//! re-sums the vector exactly every `EXACT_RENORM_EVERY` sweeps.
 //!
 //! Incidence structure (which dense cells each constraint covers) lives in a
 //! flat CSR layout ([`IncidenceCache`]) so the gather/scale loops of the

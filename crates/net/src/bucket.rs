@@ -11,7 +11,7 @@
 //! the property tests in `tests/admission.rs` pin down: tokens are never
 //! negative, refill saturates at `burst`, and admission is monotone in
 //! elapsed time.  [`TokenBucket::try_acquire`] is the wall-clock
-//! convenience wrapper the middleware uses.
+//! convenience wrapper a service's admission check uses.
 
 use std::time::{Duration, Instant};
 

@@ -34,7 +34,7 @@ pub use bucket::TokenBucket;
 pub use config::NetConfig;
 pub use metrics::ReactorMetrics;
 pub use reactor::{Reactor, ReactorHandle};
-pub use service::{Action, Completion, ConnId, Gate, LineMiddleware, LineService, MiddlewareStack};
+pub use service::{Action, Completion, ConnId, LineService};
 
 // Crash-restart plumbing from the vendored polling layer, re-exported so
 // servers and binaries need no direct `polling` dependency: a

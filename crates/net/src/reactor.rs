@@ -548,7 +548,7 @@ impl<S: LineService> Shard<S> {
         if conn.await_engine {
             self.in_flight = self.in_flight.saturating_sub(1);
         }
-        // Middleware releases per-connection state under the id the
+        // The service releases per-connection state under the id the
         // connection lived as — before the generation bump retires it.
         self.service.on_close(ConnId { shard: self.idx, slot, gen: self.gens[slot] });
         self.gens[slot] += 1;

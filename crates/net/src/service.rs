@@ -1,5 +1,4 @@
-//! The service seam between the reactor and a protocol implementation,
-//! plus the middleware chain that composes admission policy around it.
+//! The service seam between the reactor and a protocol implementation.
 
 use polling::Waker;
 use std::sync::mpsc;
@@ -18,8 +17,8 @@ pub(crate) struct CompletionKey {
 /// Public identity of one connection incarnation: the owning loop shard
 /// plus its slab slot and generation.  Stable for the connection's
 /// lifetime, never reused (the generation bumps at close), hashable — the
-/// key middleware uses for per-connection state such as rate-limit
-/// buckets.
+/// key a service uses for per-connection state such as rate-limit
+/// buckets (released in [`LineService::on_close`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConnId {
     /// The loop shard that owns the connection.
@@ -97,84 +96,9 @@ pub trait LineService: Send + Sync + 'static {
     fn overloaded_response(&self) -> String;
 
     /// Called on the loop thread when a connection closes for any reason;
-    /// middleware drops per-connection state here.  The id is never
+    /// the service drops per-connection state here.  The id is never
     /// reused, so a late call cannot touch a successor connection.
     fn on_close(&self, conn: ConnId) {
         let _ = conn;
-    }
-}
-
-/// What one middleware layer wants done with a request line before the
-/// inner service sees it.
-pub enum Gate {
-    /// Admit the line to the next layer (ultimately the service).
-    Pass,
-    /// Refuse with this response line; the line never reaches the inner
-    /// service and the connection stays open.
-    Refuse(String),
-}
-
-/// One composable admission hook in front of a [`LineService`].
-///
-/// Layers run on the loop-shard thread in chain order for every framed
-/// line; the first [`Gate::Refuse`] wins and short-circuits the rest.
-/// Per-connection state is keyed by [`ConnId`] and released in
-/// `on_close`.
-pub trait LineMiddleware: Send + Sync + 'static {
-    /// Inspects one request line before the inner service.  Must not
-    /// block.
-    fn gate(&self, conn: ConnId, line: &[u8]) -> Gate;
-
-    /// The connection closed; drop any state held under its id.
-    fn on_close(&self, conn: ConnId) {
-        let _ = conn;
-    }
-}
-
-/// A [`LineService`] composed of middleware layers around an inner
-/// service: the reactor sees one service, the layers see every line
-/// first.
-pub struct MiddlewareStack<S> {
-    layers: Vec<Arc<dyn LineMiddleware>>,
-    inner: S,
-}
-
-impl<S: LineService> MiddlewareStack<S> {
-    /// Chains `layers` (outermost first) in front of `inner`.
-    pub fn new(inner: S, layers: Vec<Arc<dyn LineMiddleware>>) -> Self {
-        Self { layers, inner }
-    }
-
-    /// The wrapped service.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: LineService> LineService for MiddlewareStack<S> {
-    fn on_line(&self, line: &[u8], completion: Completion) -> Action {
-        let conn = completion.conn_id();
-        for layer in &self.layers {
-            match layer.gate(conn, line) {
-                Gate::Pass => {}
-                Gate::Refuse(response) => return Action::Respond(response),
-            }
-        }
-        self.inner.on_line(line, completion)
-    }
-
-    fn overlong_response(&self) -> String {
-        self.inner.overlong_response()
-    }
-
-    fn overloaded_response(&self) -> String {
-        self.inner.overloaded_response()
-    }
-
-    fn on_close(&self, conn: ConnId) {
-        for layer in &self.layers {
-            layer.on_close(conn);
-        }
-        self.inner.on_close(conn);
     }
 }

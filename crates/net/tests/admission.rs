@@ -1,17 +1,8 @@
-//! Admission-control surface of `pka-net`: token-bucket properties and
-//! the middleware chain running against a live reactor.
+//! Admission-control primitive of `pka-net`: token-bucket properties.
 
-use pka_net::{
-    Action, Completion, ConnId, Gate, LineMiddleware, LineService, MiddlewareStack, NetConfig,
-    Reactor, ReactorMetrics, TokenBucket,
-};
+use pka_net::TokenBucket;
 use proptest::prelude::*;
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 proptest! {
     /// Tokens are never negative, never exceed burst, and every refusal
@@ -77,112 +68,4 @@ proptest! {
             prop_assert!(longer.try_take().is_ok(), "longer wait must not lose admission");
         }
     }
-}
-
-/// Inner service: plain echo.
-struct Echo;
-
-impl LineService for Echo {
-    fn on_line(&self, line: &[u8], _completion: Completion) -> Action {
-        Action::Respond(format!("echo:{}", String::from_utf8_lossy(line)))
-    }
-
-    fn overlong_response(&self) -> String {
-        "error:overlong".to_string()
-    }
-
-    fn overloaded_response(&self) -> String {
-        "error:overloaded".to_string()
-    }
-}
-
-/// Middleware admitting `quota` lines per connection, then refusing.
-struct Quota {
-    quota: u64,
-    used: Mutex<HashMap<ConnId, u64>>,
-}
-
-impl LineMiddleware for Quota {
-    fn gate(&self, conn: ConnId, _line: &[u8]) -> Gate {
-        let mut used = self.used.lock().unwrap();
-        let n = used.entry(conn).or_insert(0);
-        *n += 1;
-        if *n > self.quota {
-            Gate::Refuse("refused:quota".to_string())
-        } else {
-            Gate::Pass
-        }
-    }
-
-    fn on_close(&self, conn: ConnId) {
-        self.used.lock().unwrap().remove(&conn);
-    }
-}
-
-/// Middleware refusing any line containing "blocked" (chain ordering:
-/// runs after the quota layer).
-struct BlockWord;
-
-impl LineMiddleware for BlockWord {
-    fn gate(&self, _conn: ConnId, line: &[u8]) -> Gate {
-        if line.windows(7).any(|w| w == b"blocked") {
-            Gate::Refuse("refused:word".to_string())
-        } else {
-            Gate::Pass
-        }
-    }
-}
-
-#[test]
-fn middleware_chain_gates_lines_and_releases_state_on_close() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let quota = Arc::new(Quota { quota: 3, used: Mutex::new(HashMap::new()) });
-    let service = Arc::new(MiddlewareStack::new(
-        Echo,
-        vec![Arc::clone(&quota) as Arc<dyn LineMiddleware>, Arc::new(BlockWord)],
-    ));
-    let config = NetConfig::default().normalized();
-    let metrics = Arc::new(ReactorMetrics::new(config.loop_shards));
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let handle = Reactor::start(listener, service, config, shutdown, metrics).unwrap();
-
-    let stream = TcpStream::connect(addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    let call = |writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str| {
-        writeln!(writer, "{line}").unwrap();
-        let mut response = String::new();
-        reader.read_line(&mut response).unwrap();
-        response.trim_end().to_string()
-    };
-
-    // First layer refusal wins even when the second would refuse too.
-    assert_eq!(call(&mut writer, &mut reader, "a"), "echo:a");
-    assert_eq!(call(&mut writer, &mut reader, "blocked"), "refused:word");
-    assert_eq!(call(&mut writer, &mut reader, "b"), "echo:b");
-    // Quota counts gated lines too (3 admitted by quota so far is wrong:
-    // quota counts every line, so the 4th is refused by the quota layer
-    // before the word layer sees it).
-    assert_eq!(call(&mut writer, &mut reader, "blocked"), "refused:quota");
-    assert_eq!(call(&mut writer, &mut reader, "c"), "refused:quota");
-    // A fresh connection has a fresh quota.
-    let stream2 = TcpStream::connect(addr).unwrap();
-    stream2.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut reader2 = BufReader::new(stream2.try_clone().unwrap());
-    let mut writer2 = stream2;
-    assert_eq!(call(&mut writer2, &mut reader2, "fresh"), "echo:fresh");
-
-    // Closing connections releases their per-connection state.
-    drop(writer);
-    drop(reader);
-    drop(writer2);
-    drop(reader2);
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while !quota.used.lock().unwrap().is_empty() {
-        assert!(Instant::now() < deadline, "per-connection state never released");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    handle.shutdown();
 }

@@ -1,8 +1,12 @@
 //! Reactor behaviour tests over a toy echo service: framing, pipelining
 //! with deferred replies, backpressure isolation, idle reaping, overload
-//! refusal, and drain-clean shutdown.
+//! refusal, and drain-clean shutdown; plus per-connection service state
+//! released through `on_close`.
 
-use pka_net::{Action, Completion, LineService, NetConfig, Reactor, ReactorHandle, ReactorMetrics};
+use pka_net::{
+    Action, Completion, ConnId, LineService, NetConfig, Reactor, ReactorHandle, ReactorMetrics,
+};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
@@ -313,4 +317,77 @@ fn open_counts_track_shard_population() {
     }
     assert_eq!(rig.metrics.dropped(), 0);
     rig.handle.shutdown();
+}
+
+/// Admits `quota` lines per connection, then refuses: per-connection
+/// state keyed by [`ConnId`] inside a plain service, the shape of a rate
+/// limiter.
+struct Quota {
+    quota: u64,
+    used: Mutex<HashMap<ConnId, u64>>,
+}
+
+impl LineService for Quota {
+    fn on_line(&self, line: &[u8], completion: Completion) -> Action {
+        let mut used = self.used.lock().unwrap();
+        let n = used.entry(completion.conn_id()).or_insert(0);
+        *n += 1;
+        if *n > self.quota {
+            return Action::Respond("refused:quota".to_string());
+        }
+        Action::Respond(format!("echo:{}", String::from_utf8_lossy(line)))
+    }
+
+    fn overlong_response(&self) -> String {
+        "error:overlong".to_string()
+    }
+
+    fn overloaded_response(&self) -> String {
+        "error:overloaded".to_string()
+    }
+
+    fn on_close(&self, conn: ConnId) {
+        self.used.lock().unwrap().remove(&conn);
+    }
+}
+
+#[test]
+fn per_connection_state_is_released_on_close() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let service = Arc::new(Quota { quota: 2, used: Mutex::new(HashMap::new()) });
+    let config = NetConfig::default().normalized();
+    let metrics = Arc::new(ReactorMetrics::new(config.loop_shards));
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let handle = Reactor::start(listener, Arc::clone(&service), config, shutdown, metrics).unwrap();
+
+    let (mut reader, mut writer) = connect(addr);
+    assert_eq!(call(&mut reader, &mut writer, "a"), "echo:a");
+    assert_eq!(call(&mut reader, &mut writer, "b"), "echo:b");
+    assert_eq!(call(&mut reader, &mut writer, "c"), "refused:quota");
+    // A second connection has its own state.
+    let (mut reader2, mut writer2) = connect(addr);
+    assert_eq!(call(&mut reader2, &mut writer2, "fresh"), "echo:fresh");
+    assert_eq!(service.used.lock().unwrap().len(), 2);
+
+    // Closing one connection releases exactly its state; a new connection
+    // (even one reusing the slot) starts with a fresh quota.
+    drop((reader, writer));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while service.used.lock().unwrap().len() > 1 {
+        assert!(Instant::now() < deadline, "per-connection state never released");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let (mut reader3, mut writer3) = connect(addr);
+    assert_eq!(call(&mut reader3, &mut writer3, "again"), "echo:again");
+    assert_eq!(call(&mut reader2, &mut writer2, "kept"), "echo:kept");
+    assert_eq!(call(&mut reader2, &mut writer2, "over"), "refused:quota");
+
+    drop((reader2, writer2, reader3, writer3));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !service.used.lock().unwrap().is_empty() {
+        assert!(Instant::now() < deadline, "per-connection state never released");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    handle.shutdown();
 }

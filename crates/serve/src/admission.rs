@@ -1,14 +1,14 @@
-//! Admission middleware for the serve front end: token-bucket rate
-//! limiting and arrival-time deadline refusal, composed in front of the
-//! protocol service with [`pka_net::MiddlewareStack`].
+//! Admission control for the serve front end: token-bucket rate
+//! limiting and arrival-time deadline refusal, checked by the protocol
+//! service on the envelope [`crate::protocol::parse_request`] built.
 //!
-//! Both layers run on the loop-shard threads and refuse with structured
+//! The checks run on the loop-shard threads and refuse with structured
 //! protocol errors, so a limited client keeps a usable connection and a
 //! machine-readable reason — only the excess traffic is refused, and the
 //! engine never sees it.
 
-use crate::protocol::{self, ErrorCode};
-use pka_net::{ConnId, Gate, LineMiddleware, TokenBucket};
+use crate::protocol::{ErrorCode, Request, RequestError};
+use pka_net::{ConnId, TokenBucket};
 use serde::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,13 +71,6 @@ pub struct RateLimitConfig {
     pub write: Option<BucketSpec>,
 }
 
-impl RateLimitConfig {
-    /// Whether any bucket is configured.
-    pub fn is_active(&self) -> bool {
-        self.per_conn.is_some() || self.read.is_some() || self.write.is_some()
-    }
-}
-
 /// Admission-control counters surfaced in `stats.server`.
 #[derive(Debug, Default)]
 pub struct AdmissionCounters {
@@ -116,10 +109,14 @@ enum MethodClass {
     Write,
 }
 
-/// Token-bucket rate limiting: one optional bucket per connection plus
-/// shared read/write class buckets.  Refusals are `server-overloaded`
-/// lines carrying the bucket's wait hint as `retry_after_ms`.
-pub struct RateLimitLayer {
+/// Admission control on the loop shard: an arrival-time deadline check
+/// plus token-bucket rate limiting with one optional bucket per
+/// connection and shared read/write class buckets.  It judges the
+/// envelope [`crate::protocol::parse_request`] already built, so the
+/// parser is the only reader of a request line.  Refusals carry the
+/// request's id; rate-limit refusals are `server-overloaded` with the
+/// bucket's wait hint as `retry_after_ms`.
+pub struct Admission {
     per_conn: Option<BucketSpec>,
     conns: Mutex<HashMap<ConnId, TokenBucket>>,
     read: Option<Mutex<TokenBucket>>,
@@ -127,8 +124,8 @@ pub struct RateLimitLayer {
     counters: Arc<AdmissionCounters>,
 }
 
-impl RateLimitLayer {
-    /// Builds the layer from policy + the shared counters.
+impl Admission {
+    /// Builds the checks from policy + the shared counters.
     pub fn new(config: RateLimitConfig, counters: Arc<AdmissionCounters>) -> Self {
         Self {
             per_conn: config.per_conn,
@@ -139,90 +136,64 @@ impl RateLimitLayer {
         }
     }
 
-    /// The first bucket that refuses this line, as a wait hint.
-    fn check(&self, conn: ConnId, line: &[u8]) -> Option<Duration> {
-        if let Some(spec) = &self.per_conn {
-            let mut conns = self.conns.lock().expect("rate-limit state poisoned");
-            let bucket = conns.entry(conn).or_insert_with(|| spec.bucket());
-            if let Err(wait) = bucket.try_acquire() {
-                return Some(wait);
-            }
+    /// Admits a parsed request or returns its refusal.  The checks run in
+    /// order: a `deadline_ms` budget of zero arrives already expired
+    /// (`deadline-exceeded`, no tokens spent), then the connection's
+    /// bucket, then the bucket of the method's class.  Positive budgets
+    /// start counting at arrival and are enforced at the engine queue.
+    pub fn admit(&self, conn: ConnId, request: &Request) -> Result<(), RequestError> {
+        if request.deadline_ms == Some(0) {
+            self.counters.note_deadline_exceeded();
+            return Err(RequestError {
+                code: ErrorCode::DeadlineExceeded,
+                message: "deadline_ms budget expired on arrival".to_string(),
+                id: request.id.clone(),
+                retry_after_ms: None,
+            });
         }
-        let class_bucket = match protocol::peek_method(line).and_then(method_class) {
+        self.charge_connection(conn, &request.id)?;
+        let class_bucket = match method_class(&request.method) {
             Some(MethodClass::Read) => self.read.as_ref(),
             Some(MethodClass::Write) => self.write.as_ref(),
             None => None,
         };
         if let Some(bucket) = class_bucket {
-            if let Err(wait) = bucket.lock().expect("rate-limit state poisoned").try_acquire() {
-                return Some(wait);
-            }
+            let taken = bucket.lock().expect("rate-limit state poisoned").try_acquire();
+            taken.map_err(|wait| self.limited(&request.id, wait))?;
         }
-        None
-    }
-}
-
-impl LineMiddleware for RateLimitLayer {
-    fn gate(&self, conn: ConnId, line: &[u8]) -> Gate {
-        let Some(wait) = self.check(conn, line) else {
-            return Gate::Pass;
-        };
-        self.counters.note_rate_limited();
-        let retry_after_ms = (wait.as_millis() as u64).max(1);
-        Gate::Refuse(protocol::error_line_retry(
-            &recover_id(line),
-            ErrorCode::Overloaded,
-            "rate limit exceeded; excess request refused",
-            retry_after_ms,
-        ))
+        Ok(())
     }
 
-    fn on_close(&self, conn: ConnId) {
+    /// The connection closed; drop its bucket.
+    pub fn release(&self, conn: ConnId) {
         self.conns.lock().expect("rate-limit state poisoned").remove(&conn);
     }
-}
 
-/// Arrival-time deadline refusal: a request declaring `deadline_ms: 0`
-/// arrives already expired and is answered `deadline-exceeded` without
-/// touching the parser or the engine.  Positive budgets start counting at
-/// arrival and are enforced at the engine queue.
-pub struct DeadlineLayer {
-    counters: Arc<AdmissionCounters>,
-}
-
-impl DeadlineLayer {
-    /// Builds the layer over the shared counters.
-    pub fn new(counters: Arc<AdmissionCounters>) -> Self {
-        Self { counters }
+    /// Charges one request line to its connection's bucket.  This is the
+    /// only check a line that failed to parse still meets; `id` is then
+    /// whatever id the parser could read.
+    pub fn charge_connection(&self, conn: ConnId, id: &Value) -> Result<(), RequestError> {
+        let Some(spec) = &self.per_conn else { return Ok(()) };
+        let mut conns = self.conns.lock().expect("rate-limit state poisoned");
+        let bucket = conns.entry(conn).or_insert_with(|| spec.bucket());
+        bucket.try_acquire().map_err(|wait| self.limited(id, wait))
     }
-}
 
-impl LineMiddleware for DeadlineLayer {
-    fn gate(&self, _conn: ConnId, line: &[u8]) -> Gate {
-        if protocol::peek_deadline_ms(line) != Some(0) {
-            return Gate::Pass;
+    fn limited(&self, id: &Value, wait: Duration) -> RequestError {
+        self.counters.note_rate_limited();
+        RequestError {
+            code: ErrorCode::Overloaded,
+            message: "rate limit exceeded; excess request refused".to_string(),
+            id: id.clone(),
+            retry_after_ms: Some((wait.as_millis() as u64).max(1)),
         }
-        self.counters.note_deadline_exceeded();
-        Gate::Refuse(protocol::error_line(
-            &recover_id(line),
-            ErrorCode::DeadlineExceeded,
-            "deadline_ms budget expired on arrival",
-        ))
     }
-}
-
-/// Best-effort id recovery for a refusal line (full parse is fine here —
-/// refusals are off the hot path by definition).
-fn recover_id(line: &[u8]) -> Value {
-    std::str::from_utf8(line)
-        .ok()
-        .and_then(|text| protocol::parse_request(text).map(|r| r.id).ok())
-        .unwrap_or(Value::Null)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol;
 
     #[test]
     fn bucket_spec_parses_rate_and_burst() {
@@ -245,73 +216,99 @@ mod tests {
         ConnId { shard: 0, slot, gen: 1 }
     }
 
+    /// The verdict on one request line, parsed the way the server parses
+    /// it: `Ok` when admitted, else the refusal's code and id.
+    fn verdict(admission: &Admission, conn: ConnId, line: &str) -> Result<(), RequestError> {
+        match protocol::parse_request(line) {
+            Ok(request) => admission.admit(conn, &request),
+            Err(error) => admission.charge_connection(conn, &error.id),
+        }
+    }
+
     #[test]
     fn per_conn_bucket_refuses_the_excess_with_a_hint() {
         let counters = Arc::new(AdmissionCounters::default());
-        let layer = RateLimitLayer::new(
+        let admission = Admission::new(
             RateLimitConfig {
                 per_conn: Some(BucketSpec { rate_per_sec: 0.001, burst: 2.0 }),
                 ..Default::default()
             },
             Arc::clone(&counters),
         );
-        let line = b"{\"id\":7,\"method\":\"ping\",\"params\":{}}";
-        assert!(matches!(layer.gate(conn(0), line), Gate::Pass));
-        assert!(matches!(layer.gate(conn(0), line), Gate::Pass));
-        match layer.gate(conn(0), line) {
-            Gate::Refuse(response) => {
-                assert!(response.contains("server-overloaded"), "{response}");
-                assert!(response.contains("retry_after_ms"), "{response}");
-                assert!(response.contains("\"id\":7"), "{response}");
-            }
-            Gate::Pass => panic!("third request should be limited"),
-        }
-        // Another connection has its own bucket.
-        assert!(matches!(layer.gate(conn(1), line), Gate::Pass));
-        assert_eq!(counters.rate_limited.load(Ordering::Relaxed), 1);
+        let line = "{\"id\":7,\"method\":\"ping\",\"params\":{}}";
+        assert!(verdict(&admission, conn(0), line).is_ok());
+        assert!(verdict(&admission, conn(0), line).is_ok());
+        let refusal = verdict(&admission, conn(0), line).expect_err("third request is limited");
+        assert_eq!(refusal.code, ErrorCode::Overloaded);
+        assert!(refusal.retry_after_ms.is_some_and(|ms| ms >= 1));
+        assert_eq!(refusal.id, Value::U64(7));
+        // Another connection has its own bucket; a malformed line still
+        // draws from it and is refused with whatever id the parser read.
+        assert!(verdict(&admission, conn(1), line).is_ok());
+        assert!(verdict(&admission, conn(1), "{\"id\":8,\"params\":{}}").is_ok());
+        let refusal = verdict(&admission, conn(1), "not json").expect_err("bucket is empty");
+        assert_eq!((refusal.code, refusal.id), (ErrorCode::Overloaded, Value::Null));
+        let refusal = verdict(&admission, conn(1), "{\"id\":9}").expect_err("bucket is empty");
+        assert_eq!(refusal.id, Value::U64(9));
+        assert_eq!(counters.rate_limited.load(Ordering::Relaxed), 3);
         // Closing releases the per-connection state.
-        layer.on_close(conn(0));
-        assert!(layer.conns.lock().unwrap().len() == 1);
+        admission.release(conn(0));
+        assert!(admission.conns.lock().unwrap().len() == 1);
     }
 
     #[test]
     fn write_class_bucket_spares_reads() {
         let counters = Arc::new(AdmissionCounters::default());
-        let layer = RateLimitLayer::new(
+        let admission = Admission::new(
             RateLimitConfig {
                 write: Some(BucketSpec { rate_per_sec: 0.001, burst: 1.0 }),
                 ..Default::default()
             },
             counters,
         );
-        let write = b"{\"id\":1,\"method\":\"ingest\",\"params\":{\"rows\":[]}}";
-        let read = b"{\"id\":2,\"method\":\"query\",\"params\":{}}";
-        assert!(matches!(layer.gate(conn(0), write), Gate::Pass));
-        assert!(matches!(layer.gate(conn(0), write), Gate::Refuse(_)));
-        // Reads and control keep flowing while writes are limited.
-        assert!(matches!(layer.gate(conn(0), read), Gate::Pass));
-        assert!(matches!(
-            layer.gate(conn(0), b"{\"id\":3,\"method\":\"stats\",\"params\":{}}"),
-            Gate::Pass
-        ));
+        let write = "{\"id\":1,\"method\":\"ingest\",\"params\":{\"rows\":[]}}";
+        let escaped = "{\"id\":1,\"method\":\"\\u0069ngest\",\"params\":{\"rows\":[]}}";
+        let read = "{\"id\":2,\"method\":\"query\",\"params\":{\"method\":\"ingest\"}}";
+        assert!(verdict(&admission, conn(0), write).is_ok());
+        assert!(verdict(&admission, conn(0), write).is_err());
+        // The class is the parsed method: an escaped spelling is the same
+        // method, and a `method` key inside `params` is not the method.
+        assert!(verdict(&admission, conn(0), escaped).is_err());
+        assert!(verdict(&admission, conn(0), read).is_ok());
+        // Control methods keep flowing while writes are limited.
+        assert!(verdict(&admission, conn(0), "{\"id\":3,\"method\":\"stats\"}").is_ok());
     }
 
     #[test]
     fn zero_deadline_is_refused_on_arrival() {
         let counters = Arc::new(AdmissionCounters::default());
-        let layer = DeadlineLayer::new(Arc::clone(&counters));
-        match layer.gate(conn(0), b"{\"id\":5,\"method\":\"ingest\",\"deadline_ms\":0}") {
-            Gate::Refuse(response) => {
-                assert!(response.contains("deadline-exceeded"), "{response}");
-                assert!(response.contains("\"id\":5"), "{response}");
-            }
-            Gate::Pass => panic!("expired budget must not reach the service"),
-        }
-        assert!(matches!(
-            layer.gate(conn(0), b"{\"id\":6,\"method\":\"ingest\",\"deadline_ms\":50}"),
-            Gate::Pass
-        ));
-        assert!(matches!(layer.gate(conn(0), b"{\"id\":7,\"method\":\"ping\"}"), Gate::Pass));
-        assert_eq!(counters.deadline_exceeded.load(Ordering::Relaxed), 1);
+        let admission = Admission::new(
+            RateLimitConfig {
+                per_conn: Some(BucketSpec { rate_per_sec: 0.001, burst: 1.0 }),
+                ..Default::default()
+            },
+            Arc::clone(&counters),
+        );
+        let refusal =
+            verdict(&admission, conn(0), "{\"id\":5,\"method\":\"ingest\",\"deadline_ms\":0}")
+                .expect_err("expired budget must not reach the service");
+        assert_eq!((refusal.code, refusal.id), (ErrorCode::DeadlineExceeded, Value::U64(5)));
+        // The expired request spent no token: the next line is admitted.
+        let escaped = "{\"id\":6,\"method\":\"ping\",\"deadline\\u005fms\":0}";
+        assert_eq!(
+            verdict(&admission, conn(1), escaped).unwrap_err().code,
+            ErrorCode::DeadlineExceeded
+        );
+        assert!(verdict(
+            &admission,
+            conn(0),
+            "{\"id\":6,\"method\":\"ingest\",\"deadline_ms\":50}"
+        )
+        .is_ok());
+        // A line that does not parse has no deadline to check.
+        let malformed = "{\"id\":7,\"deadline_ms\":0}";
+        assert!(verdict(&admission, conn(2), malformed).is_ok());
+        assert_eq!(counters.deadline_exceeded.load(Ordering::Relaxed), 2);
+        assert_eq!(counters.rate_limited.load(Ordering::Relaxed), 0);
     }
 }

@@ -4,16 +4,17 @@
 //! ([`NODE_FLAGS`], plus the `--survey` schema switch) into the same
 //! [`ServeConfig`], so a flag means one thing everywhere; [`run_node`]
 //! then announces the bound address, routes `SIGTERM`/`SIGINT` to a
-//! graceful drain and waits for shutdown.
+//! graceful drain and waits for shutdown.  The binaries' `probe`
+//! subcommands share [`wait_for`] and [`hold_idle`].
 
-use crate::{BucketSpec, RateLimitConfig, ServeConfig, ShutdownTrigger};
+use crate::{BucketSpec, LineClient, RateLimitConfig, ServeConfig, ServerStats, ShutdownTrigger};
 use pka_contingency::{Attribute, Schema};
 use pka_stream::{FsyncPolicy, RefreshPolicy, StreamConfig};
 use std::io::Write;
 use std::net::SocketAddr;
 use std::str::FromStr;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The node flags that take a value (documented in the `pka-serve` and
 /// `pka-fabric` usage).
@@ -240,4 +241,53 @@ pub fn run_node(
     wait()?;
     println!("shut down cleanly");
     Ok(())
+}
+
+/// Polls `check` every 20 ms until it returns true; fails with `timed out
+/// waiting for <what>` once `timeout` has elapsed.
+pub fn wait_for(
+    timeout: Duration,
+    what: &str,
+    mut check: impl FnMut() -> Result<bool, String>,
+) -> Result<(), String> {
+    let start = Instant::now();
+    loop {
+        if check()? {
+            return Ok(());
+        }
+        if start.elapsed() > timeout {
+            return Err(format!("timed out waiting for {what}"));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// Opens `hold` idle connections to `addr` and waits until the server
+/// behind `client` reports them all open (plus `client`'s own), proving
+/// the reactor carries the fan-in without a thread per socket.  Returns
+/// the server's stats while they are held; they close on return.
+pub fn hold_idle(
+    addr: &str,
+    hold: usize,
+    client: &mut LineClient,
+    timeout: Duration,
+) -> Result<ServerStats, String> {
+    let held = (0..hold)
+        .map(|i| {
+            std::net::TcpStream::connect(addr).map_err(|e| format!("idle-hold connect {i}: {e}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    // The last few sockets may still be in flight from the acceptor to
+    // their shard; ask over the live protocol connection until the server
+    // counts them all.
+    let mut stats = None;
+    wait_for(timeout, &format!("the server to report {hold} held idle connections"), || {
+        let now =
+            client.server_stats().map_err(|e| format!("server stats during idle-hold: {e}"))?;
+        let counted = now.open_connections > hold as u64;
+        stats = Some(now);
+        Ok(counted)
+    })?;
+    drop(held);
+    Ok(stats.expect("wait_for succeeded after a check"))
 }

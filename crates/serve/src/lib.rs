@@ -60,9 +60,7 @@ pub mod queue;
 pub mod server;
 pub mod watch;
 
-pub use admission::{
-    AdmissionCounters, BucketSpec, DeadlineLayer, RateLimitConfig, RateLimitLayer,
-};
+pub use admission::{Admission, AdmissionCounters, BucketSpec, RateLimitConfig};
 pub use client::{ClientConfig, LineClient, NamedQuery, QueryAnswer, ShardPullAnswer};
 pub use error::ServeError;
 pub use protocol::{ErrorCode, Request, DEFAULT_MAX_LINE_BYTES};

@@ -54,6 +54,7 @@
 use pka_serve::cli::{self, Options};
 use pka_serve::{protocol, LineClient, Server};
 use std::process::ExitCode;
+use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -248,37 +249,9 @@ fn probe(args: &[String]) -> Result<(), String> {
     // 9. Optional concurrency check: hold N idle connections open at once
     //    and make the server report them, proving the event-loop front end
     //    carries the fan-in without a thread per socket.
-    if let Some(hold) = options.value("--idle-hold") {
-        let hold: usize = hold.parse().map_err(|_| format!("bad --idle-hold `{hold}`"))?;
-        let mut held = Vec::with_capacity(hold);
-        for i in 0..hold {
-            held.push(
-                std::net::TcpStream::connect(addr)
-                    .map_err(|e| format!("idle-hold connect {i}: {e}"))?,
-            );
-        }
-        // The last few sockets may still be in flight from the acceptor to
-        // their shard; ask over the live protocol connection until the
-        // server counts them all.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        loop {
-            let open = client
-                .server_stats()
-                .map_err(|e| format!("server stats during idle-hold: {e}"))?
-                .open_connections;
-            // `+ 1` for the probe's own protocol connection.
-            if open > hold as u64 {
-                println!("probe: idle-hold ok ({open} connections open)");
-                break;
-            }
-            if std::time::Instant::now() >= deadline {
-                return Err(format!(
-                    "held {hold} idle connections but the server only reports {open} open"
-                ));
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        drop(held);
+    if let Some(hold) = options.parsed("--idle-hold")? {
+        let stats = cli::hold_idle(addr, hold, &mut client, Duration::from_secs(30))?;
+        println!("probe: idle-hold ok ({} connections open)", stats.open_connections);
     }
 
     // 10. Pipelined queries all answer in order.

@@ -15,10 +15,12 @@
 //! so the parsing rules are unit-testable in isolation and reusable by the
 //! client, the server and the fuzz-style malformed-input tests.
 //!
-//! A request line is read in place: [`parse_request`] validates the whole
-//! line with the `serde_json` cursor but builds only the small envelope
-//! fields, and keeps `params` as the validated text of the line
-//! ([`Raw`]).  The read path decodes what it needs straight from that
+//! A request line is read in place: [`parse_request`] validates the
+//! whole line with the `serde_json` cursor but builds only the small
+//! envelope fields, and keeps `params` as the validated text of the line
+//! ([`Raw`]).  The cursor is the only reader of a request line: admission
+//! control ([`crate::admission`]) judges the parsed envelope, never the
+//! raw bytes.  The read path decodes what it needs straight from that
 //! text — [`question`] and [`batch_questions`] turn borrowed attribute and
 //! value names into [`Assignment`]s, [`rows_from_value`] reads ingest rows
 //! — so a `query-batch` line never becomes a JSON tree.  Methods that
@@ -125,7 +127,7 @@ pub struct RequestError {
 }
 
 impl RequestError {
-    fn new(code: ErrorCode, message: impl Into<String>) -> Self {
+    pub(crate) fn new(code: ErrorCode, message: impl Into<String>) -> Self {
         Self { code, message: message.into(), id: Value::Null, retry_after_ms: None }
     }
 }
@@ -225,117 +227,6 @@ pub fn request_line_with_deadline(
     line.push_str(&params_json);
     line.push('}');
     line
-}
-
-/// Extracts the top-level `method` string from a raw request line without
-/// building a JSON value tree.  Used by admission middleware to classify a
-/// line on the loop thread before (and whether) it is fully parsed; any
-/// line this scan cannot read (malformed, escaped method name, nested-only
-/// `method` key) yields `None` and is left for the full parser to refuse.
-pub fn peek_method(line: &[u8]) -> Option<&str> {
-    match peek_top_level(line, b"method")? {
-        PeekToken::Str(body) => std::str::from_utf8(body).ok(),
-        PeekToken::Scalar(_) => None,
-    }
-}
-
-/// Extracts a top-level `deadline_ms` integer from a raw request line, the
-/// same way [`peek_method`] reads the method.  Only a plain non-negative
-/// integer is readable; anything else is left for the full parser.
-pub fn peek_deadline_ms(line: &[u8]) -> Option<u64> {
-    match peek_top_level(line, b"deadline_ms")? {
-        PeekToken::Scalar(token) => std::str::from_utf8(token).ok()?.parse().ok(),
-        PeekToken::Str(_) => None,
-    }
-}
-
-/// A raw top-level value found by the peek scan: a string body (escapes
-/// unresolved — a body containing `\` is never produced) or a bare scalar
-/// token (number, `true`, `null`, …).
-enum PeekToken<'a> {
-    Str(&'a [u8]),
-    Scalar(&'a [u8]),
-}
-
-/// Depth-1, string-aware scan for `"key": value` in a serialized JSON
-/// object, without allocating.  Returns `None` when the key is absent or
-/// the line is too mangled to scan.
-fn peek_top_level<'a>(line: &'a [u8], key: &[u8]) -> Option<PeekToken<'a>> {
-    let mut depth = 0usize;
-    let mut i = 0usize;
-    while i < line.len() {
-        match line[i] {
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => depth = depth.saturating_sub(1),
-            b'"' => {
-                let start = i + 1;
-                let mut j = start;
-                let mut has_escape = false;
-                while j < line.len() {
-                    match line[j] {
-                        b'\\' => {
-                            has_escape = true;
-                            j += 2;
-                            continue;
-                        }
-                        b'"' => break,
-                        _ => j += 1,
-                    }
-                }
-                if j >= line.len() {
-                    return None;
-                }
-                let body = &line[start..j];
-                i = j + 1;
-                // Only a depth-1 string immediately followed by `:` is a
-                // top-level key.
-                if depth != 1 {
-                    continue;
-                }
-                let mut k = i;
-                while k < line.len() && line[k].is_ascii_whitespace() {
-                    k += 1;
-                }
-                if k >= line.len() || line[k] != b':' {
-                    continue;
-                }
-                if has_escape || body != key {
-                    continue;
-                }
-                let mut v = k + 1;
-                while v < line.len() && line[v].is_ascii_whitespace() {
-                    v += 1;
-                }
-                if v >= line.len() {
-                    return None;
-                }
-                if line[v] == b'"' {
-                    let vstart = v + 1;
-                    let mut vend = vstart;
-                    while vend < line.len() {
-                        match line[vend] {
-                            b'\\' => return None,
-                            b'"' => return Some(PeekToken::Str(&line[vstart..vend])),
-                            _ => vend += 1,
-                        }
-                    }
-                    return None;
-                }
-                let vstart = v;
-                let mut vend = v;
-                while vend < line.len()
-                    && !matches!(line[vend], b',' | b'}' | b']' | b'{' | b'[')
-                    && !line[vend].is_ascii_whitespace()
-                {
-                    vend += 1;
-                }
-                return Some(PeekToken::Scalar(&line[vstart..vend]));
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    None
 }
 
 /// Renders a success response line (no trailing newline).
@@ -661,34 +552,6 @@ mod tests {
         // The plain builder emits no hint field at all.
         let plain = error_line(&Value::U64(4), ErrorCode::Overloaded, "cap");
         assert!(!plain.contains("retry_after_ms"));
-    }
-
-    #[test]
-    fn method_peek_reads_only_the_top_level() {
-        assert_eq!(peek_method(b"{\"id\":1,\"method\":\"query\",\"params\":{}}"), Some("query"));
-        assert_eq!(peek_method(b"{ \"method\" : \"ingest\" }"), Some("ingest"));
-        // A nested `method` key must not fool the scan.
-        assert_eq!(
-            peek_method(b"{\"params\":{\"method\":\"decoy\"},\"method\":\"stats\"}"),
-            Some("stats")
-        );
-        assert_eq!(peek_method(b"{\"params\":{\"method\":\"decoy\"}}"), None);
-        // Strings containing braces or escapes don't derail the depth scan.
-        assert_eq!(peek_method(b"{\"id\":\"a{b}c\\\"d\",\"method\":\"ping\"}"), Some("ping"));
-        assert_eq!(peek_method(b"not json"), None);
-        assert_eq!(peek_method(b"{\"method\":42}"), None);
-    }
-
-    #[test]
-    fn deadline_peek_reads_plain_integers_only() {
-        assert_eq!(
-            peek_deadline_ms(b"{\"id\":1,\"method\":\"ingest\",\"deadline_ms\":0,\"params\":{}}"),
-            Some(0)
-        );
-        assert_eq!(peek_deadline_ms(b"{\"deadline_ms\": 250 }"), Some(250));
-        assert_eq!(peek_deadline_ms(b"{\"method\":\"ping\"}"), None);
-        assert_eq!(peek_deadline_ms(b"{\"deadline_ms\":\"soon\"}"), None);
-        assert_eq!(peek_deadline_ms(b"{\"params\":{\"deadline_ms\":0}}"), None);
     }
 
     #[test]

@@ -47,11 +47,11 @@
 //!   leaked, shutdown would hang, which is exactly what the CI smoke
 //!   test checks with a timeout.
 
-use crate::admission::{AdmissionCounters, DeadlineLayer, RateLimitConfig, RateLimitLayer};
+use crate::admission::{Admission, AdmissionCounters, RateLimitConfig};
 use crate::error::ServeError;
 use crate::protocol::{
     self, assignment_to_value, error_line, ok_line, parse_request, rows_from_value, ErrorCode,
-    Request, DEFAULT_MAX_LINE_BYTES,
+    Request, RequestError, DEFAULT_MAX_LINE_BYTES,
 };
 use crate::queue::{
     engine_channel, CommandClass, EngineQueue, EngineSender, PushRefusal, QueueEntry, RecvOutcome,
@@ -62,8 +62,7 @@ use pka_core::{KnowledgeBase, Query, QueryResult};
 use pka_expert::explain_query_with;
 use pka_maxent::EvalPath;
 use pka_net::{
-    Action, Completion, LineMiddleware, LineService, MiddlewareStack, NetConfig, Reactor,
-    ReactorHandle, ReactorMetrics,
+    Action, Completion, ConnId, LineService, NetConfig, Reactor, ReactorHandle, ReactorMetrics,
 };
 use pka_stream::{
     CountShard, FabricCheckpoint, FsyncPolicy, RefitOutcome, RefitPhases, RefitReport,
@@ -631,8 +630,8 @@ struct Shared {
     /// The engine queue's gauges and shed counters (shared with the
     /// engine thread and the senders).
     queue: Arc<EngineQueue<EngineCommand>>,
-    /// Rate-limit / deadline refusal counters (shared with the admission
-    /// middleware).
+    /// Rate-limit / deadline refusal counters (shared with the service's
+    /// [`Admission`] checks).
     admission: Arc<AdmissionCounters>,
 }
 
@@ -723,18 +722,11 @@ impl Server {
         // the only `EngineCommand` senders outside in-flight responders):
         // when the reactor joins, the senders drop and the engine thread
         // finishes.  The handle deliberately keeps neither.
-        //
-        // The deadline layer runs before the rate limiter so a request
-        // that arrives already expired is refused without spending tokens.
-        let mut layers: Vec<Arc<dyn LineMiddleware>> =
-            vec![Arc::new(DeadlineLayer::new(Arc::clone(&admission)))];
-        if config.rate_limit.is_active() {
-            layers.push(Arc::new(RateLimitLayer::new(config.rate_limit, Arc::clone(&admission))));
-        }
-        let service = Arc::new(MiddlewareStack::new(
-            ServeService { shared: Arc::clone(&shared), engine_tx },
-            layers,
-        ));
+        let service = Arc::new(ServeService {
+            shared: Arc::clone(&shared),
+            engine_tx,
+            admission: Admission::new(config.rate_limit, admission),
+        });
         let reactor = Reactor::start(listener, service, net_config, shutdown, metrics)?;
 
         Ok(ServerHandle {
@@ -1245,12 +1237,12 @@ fn handle_command(
 struct ServeService {
     shared: Arc<Shared>,
     engine_tx: EngineSender<EngineCommand>,
+    admission: Admission,
 }
 
 impl LineService for ServeService {
     fn on_line(&self, line: &[u8], completion: Completion) -> Action {
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        respond_to(line, &self.shared, &self.engine_tx, completion)
+        respond_to(line, &self.shared, &self.engine_tx, &self.admission, completion)
     }
 
     fn overlong_response(&self) -> String {
@@ -1272,6 +1264,10 @@ impl LineService for ServeService {
             "server is at its connection cap; retry later or against another node",
         )
     }
+
+    fn on_close(&self, conn: ConnId) {
+        self.admission.release(conn);
+    }
 }
 
 /// Where one dispatched request's response will come from.
@@ -1284,28 +1280,38 @@ enum Dispatched {
     Deferred,
 }
 
-/// Produces the [`Action`] for one raw request line.
+/// Produces the [`Action`] for one raw request line: parse it once, admit
+/// the parsed envelope, then dispatch.  A line admission refuses is not
+/// counted in `requests`.
 fn respond_to(
     raw: &[u8],
     shared: &Arc<Shared>,
     engine_tx: &EngineSender<EngineCommand>,
+    admission: &Admission,
     completion: Completion,
 ) -> Action {
-    let Ok(text) = std::str::from_utf8(raw) else {
-        shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        return Action::Respond(error_line(
-            &Value::Null,
-            ErrorCode::InvalidUtf8,
-            "request line is not valid UTF-8",
-        ));
+    let conn = completion.conn_id();
+    let parsed = match std::str::from_utf8(raw) {
+        Ok(text) => parse_request(text),
+        Err(_) => Err(RequestError::new(ErrorCode::InvalidUtf8, "request line is not valid UTF-8")),
     };
-    let request = match parse_request(text) {
+    let request = match parsed {
         Ok(request) => request,
         Err(e) => {
+            // A malformed line has no deadline or method to judge, but it
+            // still draws from its connection's bucket.
+            if let Err(refusal) = admission.charge_connection(conn, &e.id) {
+                return Action::Respond(request_error_line(&refusal));
+            }
+            shared.requests.fetch_add(1, Ordering::Relaxed);
             shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return Action::Respond(error_line(&e.id, e.code, &e.message));
+            return Action::Respond(request_error_line(&e));
         }
     };
+    if let Err(refusal) = admission.admit(conn, &request) {
+        return Action::Respond(request_error_line(&refusal));
+    }
+    shared.requests.fetch_add(1, Ordering::Relaxed);
     if shared.shutdown.load(Ordering::SeqCst) {
         return Action::RespondClose(error_line(
             &request.id,
@@ -1336,12 +1342,17 @@ fn respond_to(
             }
             // Dispatch errors always belong to this request, whatever id
             // the deeper helper had available.
-            let line = match e.retry_after_ms {
-                Some(ms) => protocol::error_line_retry(&request.id, e.code, &e.message, ms),
-                None => error_line(&request.id, e.code, &e.message),
-            };
-            Action::Respond(line)
+            Action::Respond(request_error_line(&RequestError { id: request.id, ..e }))
         }
+    }
+}
+
+/// Renders a request's error line, with its `retry_after_ms` hint when it
+/// has one.
+fn request_error_line(e: &RequestError) -> String {
+    match e.retry_after_ms {
+        Some(ms) => protocol::error_line_retry(&e.id, e.code, &e.message, ms),
+        None => error_line(&e.id, e.code, &e.message),
     }
 }
 

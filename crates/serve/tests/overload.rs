@@ -191,3 +191,80 @@ fn zero_deadline_refused_on_arrival_and_generous_budget_passes() {
     assert_eq!(client.stats().unwrap().total_ingested, 1);
     server.shutdown().unwrap();
 }
+
+/// Admission judges the parsed envelope, not the raw bytes.  On a
+/// `--rate-limit-write 1:1` server an escaped spelling of `ingest` is
+/// still `ingest` and draws from the write bucket, a `method` key inside
+/// `params` does not make a `query` a write, and an escaped
+/// `deadline_ms` key is still the request's deadline.
+#[test]
+fn admission_reads_the_method_and_deadline_the_parser_reads() {
+    let config = ServeConfig::new().with_rate_limit(RateLimitConfig {
+        write: Some(BucketSpec::parse("1:1").unwrap()),
+        ..Default::default()
+    });
+    let server = Server::start(schema(), config).unwrap();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut pipeline = |lines: &[String]| -> Vec<String> {
+        let mut batch = String::new();
+        for line in lines {
+            batch.push_str(line);
+            batch.push('\n');
+        }
+        writer.write_all(batch.as_bytes()).unwrap();
+        (0..lines.len())
+            .map(|_| {
+                let mut line = String::new();
+                assert!(reader.read_line(&mut line).unwrap() > 0, "connection died");
+                line
+            })
+            .collect()
+    };
+
+    // The plain ingest spends the bucket's one token; the escaped ones
+    // behind it are refused exactly like a plain excess ingest, except
+    // for what the bucket refilled (one token a second) meanwhile.
+    let started = std::time::Instant::now();
+    let mut lines = vec![r#"{"id":0,"method":"ingest","params":{"rows":[[0,0],[1,1]]}}"#.into()];
+    for id in 1..=5 {
+        lines.push(format!(r#"{{"id":{id},"method":"\u0069ngest","params":{{"rows":[[0,1]]}}}}"#));
+    }
+    let responses = pipeline(&lines);
+    let elapsed = started.elapsed();
+    assert!(responses[0].contains("\"ok\":true"), "{}", responses[0]);
+    let mut admitted = 0;
+    for response in &responses[1..] {
+        if response.contains("\"ok\":true") {
+            admitted += 1;
+        } else {
+            assert!(response.contains("server-overloaded"), "unexpected refusal: {response}");
+            assert!(response.contains("retry_after_ms"), "refusal without a hint: {response}");
+        }
+    }
+    assert!(
+        admitted <= elapsed.as_secs(),
+        "{admitted} escaped ingests bypassed the write bucket in {elapsed:?}"
+    );
+
+    // Reads flow while the write bucket is empty, whatever keys their
+    // params carry; an escaped `deadline_ms` of zero is still expired.
+    let responses = pipeline(&[
+        r#"{"id":10,"method":"refresh","params":{}}"#.into(),
+        r#"{"id":11,"method":"query","params":{"method":"ingest","target":{"attr0":"v0"}}}"#.into(),
+        r#"{"id":12,"method":"query","deadline\u005fms":0,"params":{"target":{"attr0":"v0"}}}"#
+            .into(),
+    ]);
+    assert!(responses[0].contains("\"ok\":true"), "{}", responses[0]);
+    assert!(responses[1].contains("\"ok\":true"), "{}", responses[1]);
+    assert!(responses[2].contains("deadline-exceeded"), "{}", responses[2]);
+    assert!(responses[2].contains("\"id\":12"), "{}", responses[2]);
+
+    let mut client = LineClient::connect(server.addr()).unwrap();
+    let stats = client.server_stats().unwrap();
+    assert_eq!(stats.rate_limited, 5 - admitted);
+    assert_eq!(stats.deadline_exceeded, 1);
+    server.shutdown().unwrap();
+}

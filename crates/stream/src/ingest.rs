@@ -41,7 +41,7 @@ pub fn validate_batch<R: AsRef<[usize]>>(schema: &Schema, rows: &[R]) -> Result<
 ///
 /// The batch is split into contiguous chunks; each chunk is counted
 /// independently (in parallel once every worker has
-/// [`MIN_ROWS_PER_WORKER`]-ish rows to chew on — below that threshold a
+/// `MIN_ROWS_PER_WORKER`-ish rows to chew on — below that threshold a
 /// single inline pass is faster than spawning threads) and returned as its
 /// own shard so the caller can keep per-worker counts or merge them with
 /// [`merge_shards`].  Fewer shards than requested are returned for small
