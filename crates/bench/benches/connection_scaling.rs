@@ -54,7 +54,7 @@ fn boot_server() -> ServerHandle {
     // Idle reaping off so parked connections stay parked for the whole
     // sweep; the cap stays above the largest count plus the active set.
     let config = ServeConfig::new()
-        .with_stream(StreamConfig::new().with_shard_count(4).with_policy(RefreshPolicy::Manual))
+        .with_stream(StreamConfig::new().with_policy(RefreshPolicy::Manual))
         .with_idle_timeout_ms(0)
         .with_max_connections(8192);
     let server = Server::start(schema, config).expect("server start");

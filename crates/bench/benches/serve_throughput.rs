@@ -25,8 +25,7 @@ fn boot_server(policy: RefreshPolicy) -> ServerHandle {
     let joint = pka_datagen::survey::ground_truth();
     let dataset = sample_dataset(&joint, 20_000, &mut seeded_rng(7));
     let schema = dataset.shared_schema();
-    let config =
-        ServeConfig::new().with_stream(StreamConfig::new().with_shard_count(4).with_policy(policy));
+    let config = ServeConfig::new().with_stream(StreamConfig::new().with_policy(policy));
     let server = Server::start(schema, config).expect("server start");
     let mut client = LineClient::connect(server.addr()).expect("loader connect");
     let rows: Vec<Vec<usize>> = dataset.samples().iter().map(|s| s.values().to_vec()).collect();

@@ -1,12 +1,12 @@
-//! Streaming-engine benchmarks: sharded ingestion throughput vs one-shot
-//! dataset construction, warm- vs cold-started refit cost, and the
+//! Streaming-engine benchmarks: engine batch ingestion throughput vs
+//! one-shot dataset construction, warm- vs cold-started refit cost, and the
 //! steady-state warm refit split into its phases.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pka_contingency::{Dataset, Sample};
 use pka_core::{Acquisition, AcquisitionConfig};
 use pka_datagen::sampler::{sample_dataset, seeded_rng};
-use pka_stream::{ingest, RefitPhases, RefreshPolicy, StreamConfig, StreamingEngine};
+use pka_stream::{RefitPhases, RefreshPolicy, StreamConfig, StreamingEngine};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,30 +18,27 @@ fn survey_samples(n: u64) -> Dataset {
     sample_dataset(&joint, n, &mut seeded_rng(42))
 }
 
-/// Tuples/sec: one-shot sequential construction vs sharded parallel
-/// tabulation of the same batch.
+/// Tuples/sec: one-shot sequential construction vs the engine's batch
+/// ingest of the same rows.
 fn ingest_throughput(c: &mut Criterion) {
     let dataset = survey_samples(STREAM_LEN);
     let schema = dataset.shared_schema();
-    let samples: Vec<Sample> = dataset.samples().to_vec();
+    let samples = dataset.samples();
 
     let mut group = c.benchmark_group("streaming_ingest");
     group.throughput(Throughput::Elements(STREAM_LEN));
 
     group.bench_function("one_shot_dataset_to_table", |b| b.iter(|| black_box(dataset.to_table())));
 
-    for shards in [1, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("sharded_tabulate", shards),
-            &shards,
-            |b, &shards| {
-                b.iter(|| {
-                    let parts = ingest::tabulate_sharded(&schema, &samples, shards).unwrap();
-                    black_box(ingest::merge_shards(&schema, parts).unwrap())
-                })
-            },
-        );
-    }
+    group.bench_function("engine_ingest_batch", |b| {
+        b.iter(|| {
+            let config = StreamConfig::new().with_policy(RefreshPolicy::Manual);
+            let mut engine = StreamingEngine::new(Arc::clone(&schema), config).unwrap();
+            engine.ingest_batch(samples).unwrap();
+            assert_eq!(engine.total_ingested(), STREAM_LEN);
+            black_box(engine)
+        })
+    });
     group.finish();
 }
 
@@ -95,9 +92,7 @@ fn engine_stream(c: &mut Criterion) {
     group.throughput(Throughput::Elements(50_000));
     group.bench_function("stream_50_batches_dirty10pct", |b| {
         b.iter(|| {
-            let config = StreamConfig::new()
-                .with_shard_count(4)
-                .with_policy(RefreshPolicy::DirtyFraction(0.1));
+            let config = StreamConfig::new().with_policy(RefreshPolicy::DirtyFraction(0.1));
             let mut engine = StreamingEngine::new(Arc::clone(&schema), config).unwrap();
             for batch in &batches {
                 engine.ingest_dataset(batch).unwrap();

@@ -67,6 +67,13 @@ pub enum ContingencyError {
     /// observations; it means a forged or corrupted payload supplied
     /// near-maximal counts, or two such tables were merged.
     CountOverflow,
+    /// The schema has more attributes than a variable set can hold.
+    TooManyAttributes {
+        /// Number of attributes supplied.
+        count: usize,
+        /// The maximum supported.
+        max: usize,
+    },
     /// The schema would produce more cells than can be indexed.
     TableTooLarge {
         /// The (saturated) number of cells requested.
@@ -111,6 +118,9 @@ impl fmt::Display for ContingencyError {
             Self::CountOverflow => {
                 write!(f, "cell counts overflow the 64-bit observation total")
             }
+            Self::TooManyAttributes { count, max } => {
+                write!(f, "schema has {count} attributes which exceeds the supported maximum {max}")
+            }
             Self::TableTooLarge { cells, max } => {
                 write!(f, "table would have {cells} cells which exceeds the supported maximum {max}")
             }
@@ -153,6 +163,7 @@ mod tests {
             ContingencyError::CountLength { got: 4, expected: 12 },
             ContingencyError::InvalidAssignment { reason: "why".into() },
             ContingencyError::CountOverflow,
+            ContingencyError::TooManyAttributes { count: 33, max: 32 },
             ContingencyError::TableTooLarge { cells: 10, max: 5 },
             ContingencyError::Csv { line: 7, reason: "bad".into() },
         ];

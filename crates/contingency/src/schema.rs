@@ -49,7 +49,10 @@ impl Schema {
             return Err(ContingencyError::EmptySchema);
         }
         if attributes.len() > MAX_VARS {
-            return Err(ContingencyError::TableTooLarge { cells: u128::MAX, max: MAX_CELLS });
+            return Err(ContingencyError::TooManyAttributes {
+                count: attributes.len(),
+                max: MAX_VARS,
+            });
         }
         for (i, a) in attributes.iter().enumerate() {
             if a.cardinality() == 0 {

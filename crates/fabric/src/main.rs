@@ -18,8 +18,8 @@
 //!
 //! * schema: `--schema name=v1|v2;…`, `--cards 3,2,2` or `--survey` (every
 //!   node of one fabric must be given the same schema);
-//! * listener and engine: `--port N`, `--host H`, `--shards K`,
-//!   `--policy P`, `--max-line-bytes N`;
+//! * listener and engine: `--port N`, `--host H`, `--policy P`,
+//!   `--max-line-bytes N`;
 //! * evaluation and acquisition: `--lattice-order K`, `--dense-ceiling N`,
 //!   `--max-order K`;
 //! * reactor: `--loop-shards K`, `--max-connections N`,
@@ -85,19 +85,10 @@ fn main() -> ExitCode {
     }
 }
 
-/// The fabric-only flags every role also accepts.
-const FABRIC_FLAGS: &[&str] = &[
-    "--name",
-    "--coordinator",
-    "--replica",
-    "--sync-interval-ms",
-    "--push-interval-ms",
-    "--pull-interval-ms",
-];
-
 /// A role's options, its schema and its node configuration.
 fn node(args: &[String]) -> Result<(Options, Arc<Schema>, ServeConfig), String> {
-    let options = Options::parse(args, &[cli::NODE_FLAGS, FABRIC_FLAGS].concat())?;
+    let options =
+        Options::parse(args, &[cli::NODE_FLAGS, cli::FABRIC_FLAGS].concat(), cli::NODE_SWITCHES)?;
     let schema = cli::build_schema(&options)?;
     let mut serve = cli::node_config(&options)?;
     if let Some(name) = options.value("--name") {
@@ -151,18 +142,7 @@ fn replica(args: &[String]) -> Result<(), String> {
 
 /// Drives a running fabric end to end and fails loudly on any surprise.
 fn probe(args: &[String]) -> Result<(), String> {
-    let options = Options::parse(
-        args,
-        &[
-            "--coordinator",
-            "--replica",
-            "--ingest",
-            "--rows",
-            "--timeout-s",
-            "--idle-hold",
-            "--storm-requests",
-        ],
-    )?;
+    let options = Options::parse(args, cli::FABRIC_PROBE_FLAGS, cli::FABRIC_PROBE_SWITCHES)?;
     let coordinator_addr =
         options.value("--coordinator").ok_or("probe needs --coordinator HOST:PORT")?;
     let replica_addrs = options.values("--replica");

@@ -1,11 +1,13 @@
 //! The command-line surface every node binary shares.
 //!
 //! `pka-serve` and each `pka-fabric` role parse the same node flags
-//! ([`NODE_FLAGS`], plus the `--survey` schema switch) into the same
+//! ([`NODE_FLAGS`], plus the [`NODE_SWITCHES`]) into the same
 //! [`ServeConfig`], so a flag means one thing everywhere; [`run_node`]
 //! then announces the bound address, routes `SIGTERM`/`SIGINT` to a
 //! graceful drain and waits for shutdown.  The binaries' `probe`
-//! subcommands share [`wait_for`] and [`hold_idle`].
+//! subcommands share [`wait_for`] and [`hold_idle`].  Every flag either
+//! binary accepts is listed here, and [`Options::parse`] refuses any
+//! other.
 
 use crate::{BucketSpec, LineClient, RateLimitConfig, ServeConfig, ServerStats, ShutdownTrigger};
 use pka_contingency::{Attribute, Schema};
@@ -21,7 +23,6 @@ use std::time::{Duration, Instant};
 pub const NODE_FLAGS: &[&str] = &[
     "--port",
     "--host",
-    "--shards",
     "--policy",
     "--schema",
     "--cards",
@@ -42,6 +43,39 @@ pub const NODE_FLAGS: &[&str] = &[
     "--rate-limit-write",
 ];
 
+/// The node switches (flags without a value).
+pub const NODE_SWITCHES: &[&str] = &["--survey"];
+
+/// The flags every `pka-fabric` role takes on top of [`NODE_FLAGS`].
+pub const FABRIC_FLAGS: &[&str] = &[
+    "--name",
+    "--coordinator",
+    "--replica",
+    "--sync-interval-ms",
+    "--push-interval-ms",
+    "--pull-interval-ms",
+];
+
+/// The flags `pka-serve probe` takes.
+pub const SERVE_PROBE_FLAGS: &[&str] = &["--addr", "--idle-hold"];
+
+/// The switches `pka-serve probe` takes.
+pub const SERVE_PROBE_SWITCHES: &[&str] = &["--expect-factored", "--shutdown"];
+
+/// The flags `pka-fabric probe` takes.
+pub const FABRIC_PROBE_FLAGS: &[&str] = &[
+    "--coordinator",
+    "--replica",
+    "--ingest",
+    "--rows",
+    "--timeout-s",
+    "--idle-hold",
+    "--storm-requests",
+];
+
+/// The switches `pka-fabric probe` takes.
+pub const FABRIC_PROBE_SWITCHES: &[&str] = &["--shutdown"];
+
 /// `--flag value` style options (repeatable) pulled out of an argument
 /// list.
 #[derive(Debug, Clone)]
@@ -51,19 +85,24 @@ pub struct Options {
 
 impl Options {
     /// Parses `args`; flags listed in `flags_with_value` consume the next
-    /// argument, every other `--flag` is a switch, and anything else is an
-    /// error.
-    pub fn parse(args: &[String], flags_with_value: &[&str]) -> Result<Self, String> {
+    /// argument, flags listed in `switches` stand alone, and anything else
+    /// — an unknown flag included — is an error.
+    pub fn parse(
+        args: &[String],
+        flags_with_value: &[&str],
+        switches: &[&str],
+    ) -> Result<Self, String> {
         let mut parsed = Vec::new();
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
-            if !arg.starts_with("--") {
-                return Err(format!("unexpected argument `{arg}`"));
-            }
             let value = if flags_with_value.contains(&arg.as_str()) {
                 Some(iter.next().ok_or_else(|| format!("`{arg}` needs a value"))?.clone())
-            } else {
+            } else if switches.contains(&arg.as_str()) {
                 None
+            } else if arg.starts_with("--") {
+                return Err(format!("unknown flag `{arg}`"));
+            } else {
+                return Err(format!("unexpected argument `{arg}`"));
             };
             parsed.push((arg.clone(), value));
         }
@@ -152,9 +191,6 @@ pub fn parse_policy(policy: &str) -> Result<RefreshPolicy, String> {
 /// schema).
 pub fn node_config(options: &Options) -> Result<ServeConfig, String> {
     let mut stream = StreamConfig::new();
-    if let Some(shards) = options.parsed("--shards")? {
-        stream = stream.with_shard_count(shards);
-    }
     if let Some(policy) = options.value("--policy") {
         stream = stream.with_policy(parse_policy(policy)?);
     }

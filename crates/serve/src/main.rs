@@ -3,7 +3,7 @@
 //! smoke test).
 //!
 //! ```text
-//! pka-serve [--port N] [--host H] [--shards K] [--policy P] \
+//! pka-serve [--port N] [--host H] [--policy P] \
 //!           [--schema SPEC | --cards 3,2,2 | --survey] [--max-line-bytes N] \
 //!           [--lattice-order K] [--dense-ceiling N] [--max-order K] \
 //!           [--loop-shards K] \
@@ -73,7 +73,7 @@ fn main() -> ExitCode {
 }
 
 fn serve(args: &[String]) -> Result<(), String> {
-    let options = Options::parse(args, cli::NODE_FLAGS)?;
+    let options = Options::parse(args, cli::NODE_FLAGS, cli::NODE_SWITCHES)?;
     let schema = cli::build_schema(&options)?;
     let server = Server::start(schema, cli::node_config(&options)?).map_err(|e| e.to_string())?;
     // Serve until a client sends `shutdown` (or a signal arrives).
@@ -85,7 +85,7 @@ fn serve(args: &[String]) -> Result<(), String> {
 /// The integration probe: drives every protocol method against a live
 /// server, including malformed input, and fails loudly on any surprise.
 fn probe(args: &[String]) -> Result<(), String> {
-    let options = Options::parse(args, &["--addr", "--idle-hold"])?;
+    let options = Options::parse(args, cli::SERVE_PROBE_FLAGS, cli::SERVE_PROBE_SWITCHES)?;
     let addr = options.value("--addr").ok_or("probe needs --addr HOST:PORT")?;
     let mut client = LineClient::connect(addr).map_err(|e| e.to_string())?;
 

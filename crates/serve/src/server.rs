@@ -403,10 +403,6 @@ pub struct EngineStats {
     /// Solver sweeps spent across every refit so far — together with the
     /// cache counters below, the observable cost of the solver hot path.
     pub solver_sweeps: u64,
-    /// Number of count shards.
-    pub shard_count: usize,
-    /// Per-shard tuple counts.
-    pub shard_tuples: Vec<u64>,
     /// Solver incidence-cache full hits (see `pka_maxent::IncidenceCache`).
     pub cache_full_hits: u64,
     /// Solver incidence-cache prefix extensions.
@@ -950,11 +946,7 @@ impl Durability {
         if seq <= self.journaled_seq {
             return;
         }
-        let appended = engine
-            .export_local_shard()
-            .map_err(|e| StreamError::Durability { reason: e.to_string() })
-            .and_then(|shard| journal.append(seq, &shard));
-        match appended {
+        match journal.append(seq, &engine.export_local_shard()) {
             Ok(()) => {
                 self.journaled_seq = seq;
                 self.journal_records += 1;
@@ -1192,8 +1184,6 @@ fn handle_command(
                 pending: engine.pending(),
                 refits: engine.refit_count(),
                 solver_sweeps: engine.total_solver_iterations(),
-                shard_count: engine.shard_count(),
-                shard_tuples: engine.shard_tuple_counts(),
                 cache_full_hits: cache.full_hits,
                 cache_extensions: cache.extensions,
                 cache_rebuilds: cache.rebuilds,
@@ -1212,14 +1202,9 @@ fn handle_command(
         }
         command @ EngineCommand::AbsorbShard { .. } => absorb_shard_batch(engine, vec![command]),
         EngineCommand::ExportShard { reply } => {
-            let outcome = engine
-                .export_local_shard()
-                .map(|shard| {
-                    let tuples = shard.tuple_count();
-                    (shard, tuples)
-                })
-                .map_err(|e| Refusal::engine(e.to_string()));
-            reply(outcome);
+            let shard = engine.export_local_shard();
+            let tuples = shard.tuple_count();
+            reply(Ok((shard, tuples)));
         }
         EngineCommand::SyncSnapshot { meta, knowledge_base, reply } => {
             let outcome = engine

@@ -1,12 +1,24 @@
 //! The node command line `pka-serve` and `pka-fabric` share: every flag
-//! lands in one `ServeConfig`, and malformed input is refused.
+//! lands in one `ServeConfig`, and malformed input — an unknown flag
+//! included — is refused.
 
-use pka_serve::cli::{build_schema, node_config, Options, NODE_FLAGS};
+use pka_serve::cli::{
+    build_schema, node_config, Options, FABRIC_FLAGS, FABRIC_PROBE_FLAGS, FABRIC_PROBE_SWITCHES,
+    NODE_FLAGS, NODE_SWITCHES, SERVE_PROBE_FLAGS, SERVE_PROBE_SWITCHES,
+};
 use pka_stream::RefreshPolicy;
 
-fn options(args: &[&str]) -> Result<Options, String> {
+fn parse(args: &[&str], flags: &[&str], switches: &[&str]) -> Result<Options, String> {
     let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-    Options::parse(&args, NODE_FLAGS)
+    Options::parse(&args, flags, switches)
+}
+
+fn options(args: &[&str]) -> Result<Options, String> {
+    parse(args, NODE_FLAGS, NODE_SWITCHES)
+}
+
+fn fabric_role(args: &[&str]) -> Result<Options, String> {
+    parse(args, &[NODE_FLAGS, FABRIC_FLAGS].concat(), NODE_SWITCHES)
 }
 
 #[test]
@@ -15,8 +27,6 @@ fn node_flags_fill_one_serve_config() {
         "--survey",
         "--port",
         "0",
-        "--shards",
-        "3",
         "--policy",
         "every=64",
         "--lattice-order",
@@ -33,7 +43,6 @@ fn node_flags_fill_one_serve_config() {
     .unwrap();
     assert_eq!(build_schema(&o).unwrap().len(), 3);
     let config = node_config(&o).unwrap();
-    assert_eq!(config.stream.shard_count, 3);
     assert_eq!(config.stream.policy, RefreshPolicy::EveryNTuples(64));
     assert_eq!(config.stream.lattice_order, 1);
     assert_eq!(config.stream.acquisition.dense_ceiling, 0);
@@ -50,4 +59,75 @@ fn malformed_flags_are_refused() {
     assert!(node_config(&options(&["--policy", "sometimes"]).unwrap()).is_err());
     assert!(build_schema(&options(&["--cards", "2,x"]).unwrap()).is_err());
     assert!(build_schema(&options(&[]).unwrap()).is_err());
+}
+
+#[test]
+fn unknown_flags_are_refused_by_name() {
+    let err = options(&["--survey", "--shards", "4"]).unwrap_err();
+    assert!(err.contains("`--shards`"), "{err}");
+    let err = fabric_role(&["--survey", "--pull", "127.0.0.1:1"]).unwrap_err();
+    assert!(err.contains("`--pull`"), "{err}");
+    let err =
+        parse(&["--addr", "127.0.0.1:1", "--shutdwon"], SERVE_PROBE_FLAGS, SERVE_PROBE_SWITCHES)
+            .unwrap_err();
+    assert!(err.contains("`--shutdwon`"), "{err}");
+    let err =
+        parse(&["--coordinator", "x", "--shutdwon"], FABRIC_PROBE_FLAGS, FABRIC_PROBE_SWITCHES)
+            .unwrap_err();
+    assert!(err.contains("`--shutdwon`"), "{err}");
+    // A switch of one command is not a switch of another.
+    assert!(options(&["--survey", "--shutdown"]).is_err());
+}
+
+/// Every node command line the CI workflow and the pipebench harness
+/// start parses into a schema and a configuration.
+#[test]
+fn ci_and_pipebench_node_command_lines_parse() {
+    let serve: &[&[&str]] = &[
+        &["--port", "0", "--survey", "--policy", "every=128", "--loop-shards", "2"],
+        &["--port", "0", "--cards", "2,2,2,2", "--policy", "manual", "--max-order", "2"],
+        &["--port", "0", "--schema", "a=x|y;b=u|v", "--policy", "every=64"],
+        &["--port", "0", "--cards", "2,3", "--policy", "every=64", "--max-order", "2"],
+        &["--port", "0", "--survey", "--journal", "serve.journal"],
+    ];
+    let fabric: &[&[&str]] = &[
+        &["--port", "0", "--survey", "--policy", "manual"],
+        &["--port", "0", "--survey", "--policy", "manual", "--engine-queue", "1"],
+        &["--port", "0", "--survey", "--policy", "manual", "--checkpoint", "c.ckpt"],
+        &["--checkpoint-interval-ms", "100", "--journal", "c.journal", "--survey"],
+        &["--journal-fsync", "per-record", "--survey"],
+        &["--port", "0", "--survey", "--name", "ci-node", "--coordinator", "127.0.0.1:1"],
+        &["--port", "0", "--survey", "--coordinator", "127.0.0.1:1", "--lattice-order", "2"],
+        &["--port", "0", "--cards", "2,3", "--policy", "every=64", "--replica", "127.0.0.1:1"],
+    ];
+    for args in serve {
+        let o = options(args).unwrap_or_else(|e| panic!("pka-serve {args:?}: {e}"));
+        build_schema(&o).unwrap_or_else(|e| panic!("pka-serve {args:?}: {e}"));
+        node_config(&o).unwrap_or_else(|e| panic!("pka-serve {args:?}: {e}"));
+    }
+    for args in fabric {
+        let o = fabric_role(args).unwrap_or_else(|e| panic!("pka-fabric {args:?}: {e}"));
+        build_schema(&o).unwrap_or_else(|e| panic!("pka-fabric {args:?}: {e}"));
+        node_config(&o).unwrap_or_else(|e| panic!("pka-fabric {args:?}: {e}"));
+    }
+}
+
+/// Every probe command line the CI workflow runs parses, switches and
+/// all.
+#[test]
+fn ci_probe_command_lines_parse() {
+    for args in [
+        &["--addr", "127.0.0.1:1", "--idle-hold", "1024", "--shutdown"][..],
+        &["--addr", "127.0.0.1:1", "--expect-factored", "--shutdown"],
+    ] {
+        let o = parse(args, SERVE_PROBE_FLAGS, SERVE_PROBE_SWITCHES).unwrap();
+        assert!(o.present("--shutdown"));
+    }
+    for args in [
+        &["--coordinator", "a", "--ingest", "b", "--replica", "c", "--idle-hold", "1024"][..],
+        &["--coordinator", "a", "--ingest", "b", "--replica", "c", "--shutdown"],
+        &["--coordinator", "a", "--storm-requests", "512", "--shutdown"],
+    ] {
+        assert!(parse(args, FABRIC_PROBE_FLAGS, FABRIC_PROBE_SWITCHES).is_ok(), "{args:?}");
+    }
 }

@@ -14,7 +14,7 @@ fn start_server() -> pka_serve::ServerHandle {
     let schema = Schema::uniform(&[3, 2]).unwrap().into_shared();
     let config = ServeConfig::new()
         .with_max_line_bytes(LINE_CAP)
-        .with_stream(StreamConfig::new().with_shard_count(2).with_policy(RefreshPolicy::Manual));
+        .with_stream(StreamConfig::new().with_policy(RefreshPolicy::Manual));
     Server::start(schema, config).unwrap()
 }
 
@@ -63,6 +63,8 @@ fn malformed_lines_get_structured_errors_and_the_connection_survives() {
         // structured ingest error — with nothing recorded (checked below).
         ("{\"id\":1,\"method\":\"ingest\",\"params\":{\"rows\":[[0,9]]}}", "ingest-error"),
         ("{\"id\":1,\"method\":\"ingest\",\"params\":{\"rows\":[[0]]}}", "ingest-error"),
+        // A valid row before the invalid one is discarded with it.
+        ("{\"id\":1,\"method\":\"ingest\",\"params\":{\"rows\":[[0,0],[0,9]]}}", "ingest-error"),
         // Refreshing an empty stream is an engine error, not a crash.
         ("{\"id\":1,\"method\":\"refresh\"}", "ingest-error"),
     ];
@@ -100,7 +102,7 @@ fn malformed_lines_get_structured_errors_and_the_connection_survives() {
     // The engine was never poisoned: nothing from the garbage was
     // recorded, and normal ingest → refresh → query works.
     let stats = client.stats().unwrap();
-    assert_eq!(stats.total_ingested, 0, "hostile input must leave no trace in the shards");
+    assert_eq!(stats.total_ingested, 0, "hostile input must leave no trace in the counts");
     // attr0 has three values but the stream only ever uses 0 and 1 — so
     // attr0=v2 gets a zero-probability first-order constraint, exercised
     // by the zero-prior query below.

@@ -13,8 +13,7 @@ use std::time::{Duration, Instant};
 
 fn start_server(config: ServeConfig) -> ServerHandle {
     let schema = Schema::uniform(&[3, 2]).unwrap().into_shared();
-    let config = config
-        .with_stream(StreamConfig::new().with_shard_count(2).with_policy(RefreshPolicy::Manual));
+    let config = config.with_stream(StreamConfig::new().with_policy(RefreshPolicy::Manual));
     Server::start(schema, config).unwrap()
 }
 

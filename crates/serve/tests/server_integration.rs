@@ -42,10 +42,7 @@ fn concurrent_ingest_and_queries_match_one_shot_acquisition() {
     }
 
     let config = ServeConfig::new().with_stream(
-        StreamConfig::new()
-            .with_shard_count(4)
-            .with_policy(RefreshPolicy::Manual)
-            .with_acquisition(tight_config()),
+        StreamConfig::new().with_policy(RefreshPolicy::Manual).with_acquisition(tight_config()),
     );
     let server = Server::start(Arc::clone(&schema), config).unwrap();
     let addr = server.addr();

@@ -41,10 +41,7 @@ fn twenty_attribute_schema_is_served_without_a_dense_joint() {
     assert_eq!(schema.cell_count(), 1 << 20, "this test is about the dense ceiling");
 
     let config = ServeConfig::new().with_stream(
-        StreamConfig::new()
-            .with_shard_count(2)
-            .with_policy(RefreshPolicy::Manual)
-            .with_acquisition(wide_config()),
+        StreamConfig::new().with_policy(RefreshPolicy::Manual).with_acquisition(wide_config()),
     );
     let server = Server::start(Arc::clone(&schema), config).unwrap();
     let mut client = LineClient::connect(server.addr()).unwrap();

@@ -2,7 +2,6 @@
 
 use crate::checkpoint::{CheckpointSource, FabricCheckpoint};
 use crate::error::StreamError;
-use crate::ingest::tabulate_sharded;
 use crate::journal::JournalRecovery;
 use crate::policy::RefreshPolicy;
 use crate::remote::{RemoteShardMap, RemoteSource};
@@ -18,8 +17,6 @@ use std::time::{Duration, Instant};
 /// Configuration of a [`StreamingEngine`].
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// Number of count shards (parallel ingestion workers).
-    pub shard_count: usize,
     /// When accumulated data trips an automatic refresh.
     pub policy: RefreshPolicy,
     /// Configuration of the underlying acquisition procedure.
@@ -31,16 +28,9 @@ pub struct StreamConfig {
 }
 
 impl StreamConfig {
-    /// Defaults: one shard per available core (capped at 8), 10 %-growth
-    /// refresh, the memo's acquisition defaults.
+    /// Defaults: 10 %-growth refresh, the memo's acquisition defaults.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the shard count.
-    pub fn with_shard_count(mut self, shard_count: usize) -> Self {
-        self.shard_count = shard_count;
-        self
     }
 
     /// Sets the refresh policy.
@@ -80,22 +70,11 @@ impl StreamConfig {
         self.acquisition = self.acquisition.with_max_order(order);
         self
     }
-
-    fn validate(&self) -> Result<()> {
-        if self.shard_count == 0 {
-            return Err(StreamError::InvalidConfig {
-                reason: "shard_count must be at least 1".to_string(),
-            });
-        }
-        self.policy.validate()
-    }
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
-        let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
         Self {
-            shard_count: cores.clamp(1, 8),
             policy: RefreshPolicy::default(),
             acquisition: AcquisitionConfig::default(),
             lattice_order: pka_maxent::DEFAULT_LATTICE_ORDER,
@@ -129,7 +108,7 @@ pub struct RefitReport {
 /// cold one is in `wall_time` only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefitPhases {
-    /// Merging the local shards and remote sources into one table.
+    /// Merging the local counts and remote sources into one table.
     pub merge: Duration,
     /// Tabulating observed marginals and scoring candidate cells.
     pub scoring: Duration,
@@ -145,7 +124,7 @@ pub struct RefitPhases {
 /// What one ingest call did.
 #[derive(Debug)]
 pub struct IngestReport {
-    /// Tuples accepted into the shards.
+    /// Tuples accepted into the local counts.
     pub accepted: u64,
     /// What the refresh policy did after the tuples were absorbed.
     pub refit: RefitOutcome,
@@ -248,23 +227,21 @@ impl RefitOutcome {
 
 /// A long-lived streaming-acquisition engine.
 ///
-/// The engine owns `shard_count` mergeable [`CountShard`]s fed by
-/// [`StreamingEngine::ingest_batch`] (batches are tabulated on parallel OS
-/// threads), tracks staleness with a dirty counter consulted against its
-/// [`RefreshPolicy`], and on refresh re-runs acquisition **warm-started**
-/// from the previous snapshot's constraint set and a-values.  Each refit is
-/// published as an immutable versioned [`Snapshot`]; readers hold
-/// [`SnapshotHandle`] clones and keep querying the last consistent snapshot
-/// while a refit runs.
+/// The engine owns one local [`CountShard`] fed by
+/// [`StreamingEngine::ingest_batch`] and folds it with the shards remote
+/// nodes push.  It tracks staleness with a dirty counter consulted against
+/// its [`RefreshPolicy`], and on refresh re-runs acquisition
+/// **warm-started** from the previous snapshot's constraint set and
+/// a-values.  Each refit is published as an immutable versioned
+/// [`Snapshot`]; readers hold [`SnapshotHandle`] clones and keep querying
+/// the last consistent snapshot while a refit runs.
 ///
 /// ```
 /// use pka_contingency::{Assignment, Schema};
 /// use pka_stream::{RefreshPolicy, StreamConfig, StreamingEngine};
 ///
 /// let schema = Schema::uniform(&[2, 2]).unwrap().into_shared();
-/// let config = StreamConfig::new()
-///     .with_shard_count(2)
-///     .with_policy(RefreshPolicy::EveryNTuples(4));
+/// let config = StreamConfig::new().with_policy(RefreshPolicy::EveryNTuples(4));
 /// let mut engine = StreamingEngine::new(schema, config).unwrap();
 ///
 /// // Two correlated attributes, arriving as a stream.
@@ -288,13 +265,12 @@ pub struct StreamingEngine {
     schema: Arc<Schema>,
     acquisition: Acquisition,
     policy: RefreshPolicy,
-    shards: Vec<CountShard>,
+    /// Every locally ingested or recovered tuple.
+    local: CountShard,
     /// Tuples ingested since the last published fit.
     pending: u64,
     /// Tuples covered by the last published fit.
     fitted: u64,
-    /// Round-robin cursor for single-tuple ingestion.
-    next_shard: usize,
     next_version: u64,
     handle: SnapshotHandle,
     refits: u64,
@@ -325,17 +301,14 @@ pub struct StreamingEngine {
 impl StreamingEngine {
     /// Creates an engine over a schema.
     pub fn new(schema: Arc<Schema>, config: StreamConfig) -> Result<Self> {
-        config.validate()?;
-        let shards =
-            (0..config.shard_count).map(|_| CountShard::new(Arc::clone(&schema))).collect();
+        config.policy.validate()?;
         Ok(Self {
+            local: CountShard::new(Arc::clone(&schema)),
             schema,
             acquisition: Acquisition::new(config.acquisition),
             policy: config.policy,
-            shards,
             pending: 0,
             fitted: 0,
-            next_shard: 0,
             next_version: 1,
             handle: SnapshotHandle::new(),
             refits: 0,
@@ -359,11 +332,6 @@ impl StreamingEngine {
         &self.schema
     }
 
-    /// Number of count shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total tuples counted by the engine: locally-ingested tuples plus
     /// everything currently held from remote sources.
     pub fn total_ingested(&self) -> u64 {
@@ -372,7 +340,7 @@ impl StreamingEngine {
 
     /// Tuples ingested locally (excluding remote shard deliveries).
     pub fn local_tuples(&self) -> u64 {
-        self.shards.iter().map(CountShard::tuple_count).sum()
+        self.local.tuple_count()
     }
 
     /// Number of remote sources currently holding a slot in the placement
@@ -406,11 +374,6 @@ impl StreamingEngine {
         self.refits
     }
 
-    /// Per-shard tuple counts, in shard order.
-    pub fn shard_tuple_counts(&self) -> Vec<u64> {
-        self.shards.iter().map(CountShard::tuple_count).collect()
-    }
-
     /// Reuse counters of the solver's incidence cache — how often refits
     /// skipped the `O(constraints × cells)` structural pass.
     pub fn solver_cache_stats(&self) -> CacheStats {
@@ -437,35 +400,20 @@ impl StreamingEngine {
         self.handle.load()
     }
 
-    /// Ingests one tuple (round-robin across shards), refreshing if the
-    /// policy trips.
-    pub fn ingest(&mut self, row: &[usize]) -> Result<IngestReport> {
-        let shard = self.next_shard;
-        self.next_shard = (self.next_shard + 1) % self.shards.len();
-        self.shards[shard].record(row)?;
-        self.pending += 1;
-        let refit = self.maybe_refresh();
-        Ok(IngestReport { accepted: 1, refit })
-    }
-
     /// Ingests a batch of raw tuples.
     ///
-    /// The batch is tabulated into per-worker scratch shards (in parallel
-    /// for large batches), each tuple validated exactly once by its
-    /// worker's checked increment.  Only if the whole batch counts cleanly
-    /// are the scratch shards merged into the engine's persistent shards —
-    /// so an `Err` always means nothing was recorded (all-or-nothing) —
-    /// and, if the dirty counter trips the policy, a warm-started refit
-    /// follows.
-    pub fn ingest_batch<R: AsRef<[usize]> + Sync>(&mut self, rows: &[R]) -> Result<IngestReport> {
+    /// The batch is counted into a scratch shard, each tuple validated
+    /// exactly once by the checked increment.  Only if the whole batch
+    /// counts cleanly is the scratch shard added to the local counts — so
+    /// an `Err` always means nothing was recorded (all-or-nothing) — and,
+    /// if the dirty counter trips the policy, a warm-started refit follows.
+    pub fn ingest_batch<R: AsRef<[usize]>>(&mut self, rows: &[R]) -> Result<IngestReport> {
         if rows.is_empty() {
             return Ok(IngestReport { accepted: 0, refit: RefitOutcome::NotTriggered });
         }
-        let batch_shards = tabulate_sharded(&self.schema, rows, self.shards.len())?;
-        let shard_count = self.shards.len();
-        for (i, batch_shard) in batch_shards.into_iter().enumerate() {
-            self.shards[i % shard_count].absorb(&batch_shard)?;
-        }
+        let mut batch = CountShard::new(Arc::clone(&self.schema));
+        batch.record_batch(rows)?;
+        self.local.absorb(&batch)?;
         self.pending += rows.len() as u64;
         let refit = self.maybe_refresh();
         Ok(IngestReport { accepted: rows.len() as u64, refit })
@@ -487,28 +435,23 @@ impl StreamingEngine {
     }
 
     /// The combined contingency table over everything counted so far:
-    /// local shards plus every held remote shard.  Count addition is
+    /// the local counts plus every held remote shard.  Count addition is
     /// associative and commutative, so the fold order is irrelevant and
     /// the result equals a single sequential pass over all nodes' tuples.
     pub fn current_table(&self) -> Result<ContingencyTable> {
         ContingencyTable::merged(
             Arc::clone(&self.schema),
-            self.shards.iter().map(CountShard::table).chain(self.remote.tables()),
+            std::iter::once(self.local.table()).chain(self.remote.tables()),
         )
         .map_err(StreamError::from)
     }
 
-    /// Merges the engine's **local** shards into one exportable
-    /// [`CountShard`] — what an ingest node ships to its coordinator.
-    /// Remote deliveries are deliberately excluded so a relaying node can
-    /// never echo another source's counts back into the fabric.
-    pub fn export_local_shard(&self) -> Result<CountShard> {
-        let table = ContingencyTable::merged(
-            Arc::clone(&self.schema),
-            self.shards.iter().map(CountShard::table),
-        )
-        .map_err(StreamError::from)?;
-        Ok(CountShard::from_table(table))
+    /// A copy of the engine's **local** counts — what an ingest node
+    /// ships to its coordinator.  Remote deliveries are deliberately
+    /// excluded so a relaying node can never echo another source's counts
+    /// back into the fabric.
+    pub fn export_local_shard(&self) -> CountShard {
+        self.local.clone()
     }
 
     /// Absorbs one remote shard delivery (the coordinator half of the
@@ -650,10 +593,9 @@ impl StreamingEngine {
     /// deliberately *not* captured — it is a pure function of the counts
     /// and is refitted on demand after a restore.
     pub fn capture_checkpoint(&self) -> Result<FabricCheckpoint> {
-        let local = self.export_local_shard()?;
         Ok(FabricCheckpoint {
             version: self.next_version - 1,
-            local: if local.is_empty() { None } else { Some(local) },
+            local: if self.local.is_empty() { None } else { Some(self.local.clone()) },
             sources: self
                 .remote
                 .entries()
@@ -722,7 +664,7 @@ impl StreamingEngine {
             if !shard.is_empty() {
                 stats.recovered_sources += 1;
                 stats.recovered_tuples += shard.tuple_count();
-                self.shards[0].absorb(&shard)?;
+                self.local.absorb(&shard)?;
             }
         }
         for source in checkpoint_sources {
@@ -850,7 +792,6 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(StreamingEngine::new(schema(), StreamConfig::new().with_shard_count(0)).is_err());
         assert!(StreamingEngine::new(
             schema(),
             StreamConfig::new().with_policy(RefreshPolicy::EveryNTuples(0)),
@@ -866,7 +807,7 @@ mod tests {
 
     #[test]
     fn first_refresh_is_cold_then_warm() {
-        let config = StreamConfig::new().with_shard_count(2).with_policy(RefreshPolicy::Manual);
+        let config = StreamConfig::new().with_policy(RefreshPolicy::Manual);
         let mut engine = StreamingEngine::new(schema(), config).unwrap();
         engine.ingest_batch(&correlated_rows(100)).unwrap();
         let first = engine.refresh().unwrap();
@@ -888,7 +829,7 @@ mod tests {
 
     #[test]
     fn last_refit_phases_track_the_latest_report() {
-        let config = StreamConfig::new().with_shard_count(2).with_policy(RefreshPolicy::Manual);
+        let config = StreamConfig::new().with_policy(RefreshPolicy::Manual);
         let mut engine = StreamingEngine::new(schema(), config).unwrap();
         assert_eq!(engine.last_refit_phases(), None);
         engine.ingest_batch(&correlated_rows(100)).unwrap();
@@ -900,8 +841,7 @@ mod tests {
 
     #[test]
     fn policy_triggers_refits_during_ingest() {
-        let config =
-            StreamConfig::new().with_shard_count(2).with_policy(RefreshPolicy::EveryNTuples(50));
+        let config = StreamConfig::new().with_policy(RefreshPolicy::EveryNTuples(50));
         let mut engine = StreamingEngine::new(schema(), config).unwrap();
         let mut refits = 0;
         for batch in correlated_rows(200).chunks(25) {
@@ -914,19 +854,24 @@ mod tests {
     }
 
     #[test]
-    fn single_tuple_ingest_round_robins_and_refits() {
-        let config =
-            StreamConfig::new().with_shard_count(3).with_policy(RefreshPolicy::EveryNTuples(10));
+    fn a_batch_with_a_bad_row_records_nothing() {
+        let config = StreamConfig::new().with_policy(RefreshPolicy::Manual);
         let mut engine = StreamingEngine::new(schema(), config).unwrap();
-        for row in correlated_rows(30) {
-            engine.ingest(&row).unwrap();
-        }
-        assert_eq!(engine.total_ingested(), 30);
-        assert_eq!(engine.refit_count(), 3);
-        // Round-robin spreads tuples across all shards.
-        assert!(engine.shard_count() == 3);
-        let table = engine.current_table().unwrap();
-        assert_eq!(table.total(), 30);
+        engine.ingest_batch(&correlated_rows(10)).unwrap();
+        let before = engine.current_table().unwrap();
+
+        // Valid rows first, the out-of-range row last: the rows before it
+        // must be discarded too.
+        let mut batch = correlated_rows(5);
+        batch.push(vec![0, 9]);
+        assert!(engine.ingest_batch(&batch).is_err());
+        assert_eq!(engine.total_ingested(), 10);
+        assert_eq!(engine.pending(), 10);
+        assert_eq!(engine.current_table().unwrap(), before);
+
+        let empty: &[Vec<usize>] = &[];
+        assert_eq!(engine.ingest_batch(empty).unwrap().accepted, 0);
+        assert_eq!(engine.current_table().unwrap(), before);
     }
 
     #[test]
@@ -949,7 +894,7 @@ mod tests {
             after_second.full_hits > after_first.full_hits,
             "repeated refit did not reuse the cache: {after_second:?}"
         );
-        assert_eq!(engine.shard_tuple_counts().iter().sum::<u64>(), 400);
+        assert_eq!(engine.local_tuples(), 400);
     }
 
     #[test]
@@ -1013,7 +958,6 @@ mod tests {
             ConvergenceCriteria::new().with_max_iterations(1).with_tolerance(1e-16).strict(),
         );
         let config = StreamConfig::new()
-            .with_shard_count(2)
             .with_policy(RefreshPolicy::EveryNTuples(400))
             .with_acquisition(impossible);
         let mut engine = StreamingEngine::new(schema(), config).unwrap();
@@ -1021,7 +965,7 @@ mod tests {
         // Perfect correlation promotes a boundary constraint whose fit
         // cannot reach 1e-16 in one sweep, so the policy-triggered refit
         // fails.  The ingest itself still succeeds — the tuples are in the
-        // shards — and the failure is reported in the outcome, not as an
+        // local counts — and the failure is reported in the outcome, not as an
         // error a retry loop would re-send the batch for.
         let report = engine.ingest_batch(&correlated_rows(400)).unwrap();
         assert_eq!(report.accepted, 400);
@@ -1034,11 +978,11 @@ mod tests {
 
     #[test]
     fn remote_shards_merge_exactly_and_gate_on_sequence() {
-        let manual = StreamConfig::new().with_shard_count(2).with_policy(RefreshPolicy::Manual);
+        let manual = StreamConfig::new().with_policy(RefreshPolicy::Manual);
         // A remote ingest node tabulates 40 tuples locally…
         let mut node = StreamingEngine::new(schema(), manual.clone()).unwrap();
         node.ingest_batch(&correlated_rows(40)).unwrap();
-        let exported = node.export_local_shard().unwrap();
+        let exported = node.export_local_shard();
         assert_eq!(exported.tuple_count(), 40);
 
         // …and the coordinator absorbs the cumulative shard next to its own
@@ -1079,8 +1023,7 @@ mod tests {
             StreamConfig::new().with_policy(RefreshPolicy::EveryNTuples(50)),
         )
         .unwrap();
-        let report =
-            coord.accept_remote_shard("node-a", 100, node.export_local_shard().unwrap()).unwrap();
+        let report = coord.accept_remote_shard("node-a", 100, node.export_local_shard()).unwrap();
         assert!(report.refit.is_completed(), "100 remote tuples must trip an every-50 policy");
         assert_eq!(coord.snapshot().unwrap().observations(), 100);
         assert_eq!(coord.pending(), 0);
@@ -1093,10 +1036,10 @@ mod tests {
         node.ingest_batch(&correlated_rows(30)).unwrap();
         let mut relay = StreamingEngine::new(schema(), manual).unwrap();
         relay.ingest_batch(&correlated_rows(5)).unwrap();
-        relay.accept_remote_shard("node-a", 30, node.export_local_shard().unwrap()).unwrap();
+        relay.accept_remote_shard("node-a", 30, node.export_local_shard()).unwrap();
         // The relay's export carries only its own 5 tuples — it can never
         // echo node-a's counts back into the fabric.
-        assert_eq!(relay.export_local_shard().unwrap().tuple_count(), 5);
+        assert_eq!(relay.export_local_shard().tuple_count(), 5);
         assert_eq!(relay.current_table().unwrap().total(), 35);
     }
 
@@ -1169,14 +1112,14 @@ mod tests {
 
     #[test]
     fn journal_recovery_restores_local_counts_and_replays_are_noops() {
-        let manual = StreamConfig::new().with_shard_count(2).with_policy(RefreshPolicy::Manual);
+        let manual = StreamConfig::new().with_policy(RefreshPolicy::Manual);
         // A node tabulates 40 tuples, "crashes", and its replacement boots
         // from the journal's last cumulative record.
         let mut node = StreamingEngine::new(schema(), manual.clone()).unwrap();
         node.ingest_batch(&correlated_rows(40)).unwrap();
         let recovery = JournalRecovery {
             seq: Some(40),
-            shard: Some(node.export_local_shard().unwrap()),
+            shard: Some(node.export_local_shard()),
             valid_records: 3,
             truncated_bytes: 17,
         };
@@ -1190,30 +1133,29 @@ mod tests {
         assert_eq!(reborn.local_tuples(), 40);
         assert_eq!(reborn.pending(), 40, "restored tuples must be visible to the policy");
         assert_eq!(
-            reborn.export_local_shard().unwrap(),
-            node.export_local_shard().unwrap(),
+            reborn.export_local_shard(),
+            node.export_local_shard(),
             "recovered counts are bit-exact"
         );
 
         // A coordinator that already saw seq 40 treats the replayed push
         // from the reborn node as stale — recovery cannot double-count.
         let mut coord = StreamingEngine::new(schema(), manual).unwrap();
-        coord.accept_remote_shard("node-a", 40, node.export_local_shard().unwrap()).unwrap();
-        let replay =
-            coord.accept_remote_shard("node-a", 40, reborn.export_local_shard().unwrap()).unwrap();
+        coord.accept_remote_shard("node-a", 40, node.export_local_shard()).unwrap();
+        let replay = coord.accept_remote_shard("node-a", 40, reborn.export_local_shard()).unwrap();
         assert!(!replay.applied);
         assert_eq!(coord.remote_tuples(), 40);
     }
 
     #[test]
     fn checkpoint_round_trip_restores_the_placement_map() {
-        let manual = StreamConfig::new().with_shard_count(2).with_policy(RefreshPolicy::Manual);
+        let manual = StreamConfig::new().with_policy(RefreshPolicy::Manual);
         let mut node = StreamingEngine::new(schema(), manual.clone()).unwrap();
         node.ingest_batch(&correlated_rows(30)).unwrap();
 
         let mut coord = StreamingEngine::new(schema(), manual.clone()).unwrap();
         coord.ingest_batch(&correlated_rows(10)).unwrap();
-        coord.accept_remote_shard("node-a", 30, node.export_local_shard().unwrap()).unwrap();
+        coord.accept_remote_shard("node-a", 30, node.export_local_shard()).unwrap();
         coord.refresh().unwrap();
         let checkpoint = coord.capture_checkpoint().unwrap();
         assert_eq!(checkpoint.version, 1);
@@ -1236,13 +1178,11 @@ mod tests {
 
         // A live source that outlived the crash reconciles via the seq
         // gate: replaying its checkpointed push is a no-op…
-        let stale =
-            reborn.accept_remote_shard("node-a", 30, node.export_local_shard().unwrap()).unwrap();
+        let stale = reborn.accept_remote_shard("node-a", 30, node.export_local_shard()).unwrap();
         assert!(!stale.applied);
         // …and newer cumulative counts supersede the restored entry.
         node.ingest_batch(&correlated_rows(12)).unwrap();
-        let newer =
-            reborn.accept_remote_shard("node-a", 42, node.export_local_shard().unwrap()).unwrap();
+        let newer = reborn.accept_remote_shard("node-a", 42, node.export_local_shard()).unwrap();
         assert!(newer.applied);
         assert_eq!(newer.delta_tuples, 12);
         assert_eq!(reborn.total_ingested(), 52, "reconciliation never double-counts");
@@ -1250,7 +1190,7 @@ mod tests {
 
     #[test]
     fn restore_prefers_the_larger_local_record() {
-        let manual = StreamConfig::new().with_shard_count(2).with_policy(RefreshPolicy::Manual);
+        let manual = StreamConfig::new().with_policy(RefreshPolicy::Manual);
         // The journal saw 25 tuples; an older checkpoint captured only 10.
         let mut newer = StreamingEngine::new(schema(), manual.clone()).unwrap();
         newer.ingest_batch(&correlated_rows(25)).unwrap();
@@ -1259,13 +1199,13 @@ mod tests {
 
         let recovery = JournalRecovery {
             seq: Some(25),
-            shard: Some(newer.export_local_shard().unwrap()),
+            shard: Some(newer.export_local_shard()),
             valid_records: 1,
             truncated_bytes: 0,
         };
         let checkpoint = FabricCheckpoint {
             version: 0,
-            local: Some(older.export_local_shard().unwrap()),
+            local: Some(older.export_local_shard()),
             sources: Vec::new(),
         };
         let mut reborn = StreamingEngine::new(schema(), manual).unwrap();

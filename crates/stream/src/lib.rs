@@ -1,6 +1,6 @@
 //! # pka-stream
 //!
-//! An incremental, sharded **streaming-acquisition engine** on top of the
+//! An incremental **streaming-acquisition engine** on top of the
 //! NASA TM-88224 reproduction: the memo's batch procedure (Figures 3–4)
 //! operated as a long-lived service whose knowledge base stays fresh while
 //! tuples keep arriving — the operating mode of maximum-entropy shells like
@@ -9,12 +9,13 @@
 //!
 //! Three ideas make it work:
 //!
-//! 1. **Sharded, mergeable counts** ([`shard`], [`ingest`]) — contingency
-//!    cell counts form a commutative monoid under addition, so each worker
-//!    accumulates a private [`CountShard`] and the engine combines them
-//!    with an associative `merge`.  Sharded ingestion is therefore *exact*:
-//!    any partition of the stream, tabulated in any order on any number of
-//!    threads, reproduces the single-pass contingency table bit for bit.
+//! 1. **Mergeable counts** ([`shard`]) — contingency cell counts form a
+//!    commutative monoid under addition, so each node keeps one local
+//!    [`CountShard`] and the engine combines it with the shards remote
+//!    nodes push through an associative `merge`.  Distributed ingestion is
+//!    therefore *exact*: any partition of the stream, counted in any order
+//!    on any number of nodes, reproduces the single-pass contingency table
+//!    bit for bit.
 //! 2. **Staleness tracking + warm restarts** ([`policy`], and
 //!    [`Acquisition::run_warm_started`] in `pka-core`) — a dirty counter
 //!    trips a [`RefreshPolicy`], and the refit re-enters acquisition from
@@ -43,7 +44,6 @@
 pub mod checkpoint;
 pub mod engine;
 pub mod error;
-pub mod ingest;
 pub mod journal;
 pub mod policy;
 pub mod remote;

@@ -1,6 +1,6 @@
-//! Mergeable count shards — the unit of parallel ingestion.
+//! Mergeable count shards — the unit of distributed ingestion.
 //!
-//! A [`CountShard`] is a contingency table owned by one worker.  Because
+//! A [`CountShard`] is a contingency table owned by one node.  Because
 //! cell counts form a commutative monoid under addition (identity: the
 //! all-zero table), shards can be built independently, in any order, over
 //! any partition of the stream, and combined with [`CountShard::merge`]
@@ -14,7 +14,7 @@ use pka_contingency::{ContingencyTable, Sample, Schema};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 
-/// One worker's private slice of the stream's contingency counts.
+/// One node's private slice of the stream's contingency counts.
 ///
 /// Shards serialise (schema + dense counts) so they can cross process and
 /// node boundaries: because merge is associative and commutative, a
@@ -96,7 +96,8 @@ impl CountShard {
 
     /// Records a batch of raw rows.  Returns the number recorded; on error
     /// nothing before the offending row is rolled back (callers wanting
-    /// atomic batches validate first — see `ingest::tabulate_sharded`).
+    /// atomic batches count into a scratch shard and absorb it only on
+    /// success, as [`crate::StreamingEngine::ingest_batch`] does).
     pub fn record_batch<R: AsRef<[usize]>>(&mut self, rows: &[R]) -> Result<u64> {
         for row in rows {
             self.record(row.as_ref())?;

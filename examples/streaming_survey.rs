@@ -22,9 +22,8 @@ fn main() {
     let schema = pka::datagen::survey::schema();
     let mut rng = seeded_rng(7);
 
-    // Engine: 4 count shards, automatic refresh on 20 % data growth.
-    let config =
-        StreamConfig::new().with_shard_count(4).with_policy(RefreshPolicy::DirtyFraction(0.2));
+    // Engine: automatic refresh on 20 % data growth.
+    let config = StreamConfig::new().with_policy(RefreshPolicy::DirtyFraction(0.2));
     let mut engine =
         StreamingEngine::new(Arc::clone(&schema), config).expect("streaming engine configuration");
 

@@ -59,10 +59,10 @@ fn one_attribute_past_max_vars_is_rejected() {
     let mut attributes = binary(28);
     attributes.extend(constant(5));
     assert_eq!(attributes.len(), MAX_VARS + 1);
-    assert!(matches!(Schema::new(attributes), Err(ContingencyError::TableTooLarge { .. })));
+    let too_many = ContingencyError::TooManyAttributes { count: MAX_VARS + 1, max: MAX_VARS };
+    assert_eq!(Schema::new(attributes).unwrap_err(), too_many);
     // Even with no cells to speak of, a 33rd attribute has no VarSet bit.
-    assert!(matches!(
-        Schema::new(constant(MAX_VARS + 1)),
-        Err(ContingencyError::TableTooLarge { .. })
-    ));
+    let err = Schema::new(constant(MAX_VARS + 1)).unwrap_err();
+    assert_eq!(err, too_many);
+    assert_eq!(err.to_string(), "schema has 33 attributes which exceeds the supported maximum 32");
 }

@@ -1,7 +1,7 @@
 //! End-to-end proof of the streaming engine: feeding the memo's
-//! smoking/cancer survey as a stream of batches — across multiple count
-//! shards, with multiple warm-started refits along the way — ends in a
-//! knowledge base whose query answers match a one-shot
+//! smoking/cancer survey as a stream of batches — with multiple
+//! warm-started refits along the way — ends in a bit-exact count table
+//! and a knowledge base whose query answers match a one-shot
 //! `Acquisition::run` over the full data to within 1e-9.
 
 use pka::contingency::{Assignment, Dataset};
@@ -38,12 +38,9 @@ fn streamed_survey_matches_one_shot_acquisition() {
 
     // Manual policy: the test drives a refit after every batch, so the
     // stream goes through one cold fit and then ≥ 2 warm-started refits.
-    let config = StreamConfig::new()
-        .with_shard_count(4)
-        .with_policy(RefreshPolicy::Manual)
-        .with_acquisition(tight_config());
+    let config =
+        StreamConfig::new().with_policy(RefreshPolicy::Manual).with_acquisition(tight_config());
     let mut engine = StreamingEngine::new(Arc::clone(&schema), config).unwrap();
-    assert!(engine.shard_count() >= 2, "acceptance requires ≥ 2 shards");
 
     let batches = round_robin_batches(3);
     assert!(batches.len() >= 3, "acceptance requires ≥ 3 batches");
@@ -121,7 +118,6 @@ fn automatic_policy_stays_consistent_with_the_data() {
     let full_table = pka::datagen::smoking::table();
     let schema = full_table.shared_schema();
     let config = StreamConfig::new()
-        .with_shard_count(2)
         .with_policy(RefreshPolicy::DirtyFraction(0.25))
         .with_acquisition(tight_config());
     let mut engine = StreamingEngine::new(Arc::clone(&schema), config).unwrap();
