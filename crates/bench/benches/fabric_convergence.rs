@@ -2,16 +2,13 @@
 //! live coordinator, snapshot propagation latency from a coordinator
 //! refresh to the version being visible on a replica, and end-to-end
 //! convergence of a full mini-fabric (2 ingest nodes -> coordinator -> 1
-//! replica).  Every node runs its default intervals: pushes and syncs are
-//! sent on change, so the intervals only pace retries.
+//! replica).  Every node runs the `pka-fabric` default intervals (25 ms
+//! push and sync): pushes and syncs are sent on change, so the intervals
+//! only pace retries.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pka_datagen::sampler::{sample_dataset, seeded_rng};
-use pka_fabric::{
-    Coordinator, CoordinatorConfig, IngestNode, IngestNodeConfig, Replica, ReplicaConfig,
-    RetryPolicy,
-};
-use pka_serve::{FabricRole, LineClient, ServeConfig, Server, ServerHandle};
+use pka_serve::{FabricRole, LineClient, RetryPolicy, ServeConfig, Server, ServerHandle};
 use pka_stream::{CountShard, RefreshPolicy, StreamConfig};
 use std::time::{Duration, Instant};
 
@@ -25,10 +22,23 @@ fn survey_rows(n: usize, seed: u64) -> Vec<Vec<usize>> {
     dataset.samples().iter().map(|s| s.values().to_vec()).collect()
 }
 
-fn manual_coordinator() -> ServerHandle {
+/// The `pka-fabric` default re-offer and push-retry interval.
+const INTERVAL: Duration = Duration::from_millis(25);
+
+/// A push-fed replica.
+fn replica(retry: RetryPolicy) -> ServerHandle {
+    let schema = pka_datagen::survey::ground_truth().shared_schema();
+    let role = FabricRole::Replica { coordinator: None, pull_interval: Duration::from_millis(50) };
+    Server::start(schema, ServeConfig::new().with_role(role).with_retry(retry))
+        .expect("replica start")
+}
+
+/// A manually refreshed coordinator keeping `replicas` in sync.
+fn manual_coordinator(replicas: Vec<String>) -> ServerHandle {
     let schema = pka_datagen::survey::ground_truth().shared_schema();
     let config = ServeConfig::new()
-        .with_role(FabricRole::Coordinator)
+        .with_role(FabricRole::Coordinator { replicas, sync_interval: INTERVAL })
+        .with_retry(RetryPolicy::fast())
         .with_stream(StreamConfig::new().with_policy(RefreshPolicy::Manual));
     Server::start(schema, config).expect("coordinator start")
 }
@@ -37,7 +47,7 @@ fn manual_coordinator() -> ServerHandle {
 /// shipping its cumulative shard after every local delta of `delta_rows`
 /// tuples, exactly as an ingest-node pusher does.
 fn shard_push_throughput(c: &mut Criterion) {
-    let server = manual_coordinator();
+    let server = manual_coordinator(Vec::new());
     let addr = server.addr();
     let schema = pka_datagen::survey::ground_truth().shared_schema();
 
@@ -83,19 +93,8 @@ fn shard_push_throughput(c: &mut Criterion) {
 /// being served by a push-fed replica (pump wake-up + snapshot-sync +
 /// replica apply).
 fn snapshot_propagation(c: &mut Criterion) {
-    let schema = pka_datagen::survey::ground_truth().shared_schema();
-    let replica = Replica::start(schema.clone(), ReplicaConfig::new()).expect("replica start");
-    let coordinator = Coordinator::start(
-        schema,
-        CoordinatorConfig::new()
-            .with_serve(
-                ServeConfig::new()
-                    .with_stream(StreamConfig::new().with_policy(RefreshPolicy::Manual)),
-            )
-            .with_replica(replica.addr().to_string())
-            .with_retry(RetryPolicy::fast()),
-    )
-    .expect("coordinator start");
+    let replica = replica(RetryPolicy::default());
+    let coordinator = manual_coordinator(vec![replica.addr().to_string()]);
 
     let mut writer = LineClient::connect(coordinator.addr()).expect("writer connect");
     let mut reader = LineClient::connect(replica.addr()).expect("reader connect");
@@ -132,29 +131,18 @@ fn snapshot_propagation(c: &mut Criterion) {
 fn end_to_end_convergence(c: &mut Criterion) {
     let schema = pka_datagen::survey::ground_truth().shared_schema();
     let retry = RetryPolicy::fast();
-    let replica = Replica::start(schema.clone(), ReplicaConfig::new().with_retry(retry.clone()))
-        .expect("replica start");
-    let coordinator = Coordinator::start(
-        schema.clone(),
-        CoordinatorConfig::new()
-            .with_serve(
-                ServeConfig::new()
-                    .with_stream(StreamConfig::new().with_policy(RefreshPolicy::Manual)),
-            )
-            .with_replica(replica.addr().to_string())
-            .with_retry(retry.clone()),
-    )
-    .expect("coordinator start");
-    let nodes: Vec<IngestNode> = ["bench-a", "bench-b"]
+    let replica = replica(retry.clone());
+    let coordinator = manual_coordinator(vec![replica.addr().to_string()]);
+    let nodes: Vec<ServerHandle> = ["bench-a", "bench-b"]
         .iter()
         .map(|name| {
-            IngestNode::start(
-                schema.clone(),
-                IngestNodeConfig::new(coordinator.addr().to_string())
-                    .with_serve(ServeConfig::new().with_node_name(*name))
-                    .with_retry(retry.clone()),
-            )
-            .expect("ingest node start")
+            let role = FabricRole::IngestNode {
+                coordinator: coordinator.addr().to_string(),
+                push_interval: INTERVAL,
+            };
+            let config =
+                ServeConfig::new().with_node_name(*name).with_role(role).with_retry(retry.clone());
+            Server::start(schema.clone(), config).expect("ingest node start")
         })
         .collect();
 

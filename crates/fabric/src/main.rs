@@ -4,14 +4,21 @@
 //!
 //! ```text
 //! pka-fabric coordinator NODE-FLAGS [--replica ADDR]... [--sync-interval-ms N]
-//! pka-fabric ingest-node NODE-FLAGS --coordinator ADDR [--name NAME]
-//!                        [--push-interval-ms N]
-//! pka-fabric replica     NODE-FLAGS [--coordinator ADDR]
-//!                        [--pull-interval-ms N]
+//!                        [--name NAME]
+//! pka-fabric ingest-node NODE-FLAGS --coordinator ADDR [--push-interval-ms N]
+//!                        [--name NAME]
+//! pka-fabric replica     NODE-FLAGS [--coordinator ADDR] [--pull-interval-ms N]
+//!                        [--name NAME]
 //! pka-fabric probe --coordinator ADDR [--replica ADDR]...
 //!                  [--ingest ADDR]... [--rows N] [--idle-hold N]
 //!                  [--storm-requests N] [--shutdown]
 //! ```
+//!
+//! Each role is a `pka_serve::Server` whose `FabricRole` carries the
+//! peers its flags name; the server runs the role's pump in-process.  A
+//! role takes only its own peer flags (`pka_serve::cli::fabric_node`): a
+//! flag of another role, such as `replica --push-interval-ms 5`, is
+//! refused with "unknown flag" and exit status 1.
 //!
 //! `NODE-FLAGS` are the node flags `pka-serve` takes, parsed by the same
 //! `pka_serve::cli` into the same configuration:
@@ -29,7 +36,8 @@
 //! * overload: `--engine-queue N`, `--rate-limit-conn/-read/-write
 //!   RATE[:BURST]`.
 //!
-//! `SIGTERM`/`SIGINT` drain gracefully and cut a final checkpoint.  An
+//! `SIGTERM`/`SIGINT` drain gracefully: connections drain, an ingest
+//! node makes its final push, and the engine cuts a final checkpoint.  An
 //! ingest node always runs the `manual` policy: the coordinator refits.
 //!
 //! Pushes and syncs are sent on change: an ingest node pushes as soon as
@@ -57,22 +65,15 @@
 //! reports them all open (the CI fan-in check), and with `--shutdown`
 //! stops every node (replicas and ingest nodes first, coordinator last).
 
-use pka_contingency::Schema;
-use pka_fabric::{
-    Coordinator, CoordinatorConfig, IngestNode, IngestNodeConfig, Replica, ReplicaConfig,
-};
 use pka_serve::cli::{self, Options};
-use pka_serve::{LineClient, ServeConfig};
+use pka_serve::{LineClient, Server};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("coordinator") => coordinator(&args[1..]),
-        Some("ingest-node") => ingest_node(&args[1..]),
-        Some("replica") => replica(&args[1..]),
+        Some(role @ ("coordinator" | "ingest-node" | "replica")) => node(role, &args[1..]),
         Some("probe") => probe(&args[1..]),
         _ => Err("usage: pka-fabric <coordinator|ingest-node|replica|probe> [options]".into()),
     };
@@ -85,59 +86,10 @@ fn main() -> ExitCode {
     }
 }
 
-/// A role's options, its schema and its node configuration.
-fn node(args: &[String]) -> Result<(Options, Arc<Schema>, ServeConfig), String> {
-    let options =
-        Options::parse(args, &[cli::NODE_FLAGS, cli::FABRIC_FLAGS].concat(), cli::NODE_SWITCHES)?;
-    let schema = cli::build_schema(&options)?;
-    let mut serve = cli::node_config(&options)?;
-    if let Some(name) = options.value("--name") {
-        serve = serve.with_node_name(name);
-    }
-    Ok((options, schema, serve))
-}
-
-fn interval_ms(options: &Options, flag: &str, default_ms: u64) -> Result<Duration, String> {
-    Ok(Duration::from_millis(options.parsed(flag)?.unwrap_or(default_ms)))
-}
-
-fn coordinator(args: &[String]) -> Result<(), String> {
-    let (options, schema, serve) = node(args)?;
-    let mut config = CoordinatorConfig::new().with_serve(serve).with_sync_interval(interval_ms(
-        &options,
-        "--sync-interval-ms",
-        25,
-    )?);
-    for replica in options.values("--replica") {
-        config = config.with_replica(replica);
-    }
-    let node = Coordinator::start(schema, config).map_err(|e| e.to_string())?;
-    cli::run_node(node.addr(), node.shutdown_trigger(), || node.wait().map_err(|e| e.to_string()))
-}
-
-fn ingest_node(args: &[String]) -> Result<(), String> {
-    let (options, schema, serve) = node(args)?;
-    let coordinator =
-        options.value("--coordinator").ok_or("ingest-node needs --coordinator HOST:PORT")?;
-    let config = IngestNodeConfig::new(coordinator)
-        .with_serve(serve)
-        .with_push_interval(interval_ms(&options, "--push-interval-ms", 25)?);
-    let node = IngestNode::start(schema, config).map_err(|e| e.to_string())?;
-    cli::run_node(node.addr(), node.shutdown_trigger(), || node.wait().map_err(|e| e.to_string()))
-}
-
-fn replica(args: &[String]) -> Result<(), String> {
-    let (options, schema, serve) = node(args)?;
-    let mut config = ReplicaConfig::new().with_serve(serve).with_pull_interval(interval_ms(
-        &options,
-        "--pull-interval-ms",
-        50,
-    )?);
-    if let Some(coordinator) = options.value("--coordinator") {
-        config = config.with_coordinator(coordinator);
-    }
-    let node = Replica::start(schema, config).map_err(|e| e.to_string())?;
-    cli::run_node(node.addr(), node.shutdown_trigger(), || node.wait().map_err(|e| e.to_string()))
+/// Starts one fabric role as a server and runs it until shutdown.
+fn node(role: &str, args: &[String]) -> Result<(), String> {
+    let (schema, config) = cli::fabric_node(role, args)?;
+    cli::run_node(Server::start(schema, config).map_err(|e| e.to_string())?)
 }
 
 /// Drives a running fabric end to end and fails loudly on any surprise.

@@ -27,12 +27,11 @@
 
 use pka_contingency::{Assignment, ContingencyTable, Schema};
 use pka_core::{Acquisition, AcquisitionConfig, KnowledgeBase};
-use pka_fabric::{
-    ChaosProxy, Coordinator, CoordinatorConfig, IngestNode, IngestNodeConfig, Replica,
-    ReplicaConfig, RetryPolicy,
-};
+use pka_fabric::ChaosProxy;
 use pka_maxent::ConvergenceCriteria;
-use pka_serve::{EngineStats, LineClient, ServeConfig};
+use pka_serve::{
+    EngineStats, FabricRole, LineClient, RetryPolicy, ServeConfig, Server, ServerHandle,
+};
 use pka_stream::{CountShard, FsyncPolicy, RefreshPolicy, StreamConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -113,16 +112,18 @@ fn ingest_node_crash_recovers_acknowledged_tuples_from_its_journal() {
     let journal = temp_path("ingest-journal");
     let crash_image = temp_path("ingest-crash-image");
 
-    let coordinator = Coordinator::start(
+    let coordinator = Server::start(
         schema(),
-        CoordinatorConfig::new()
-            .with_serve(
-                ServeConfig::new().with_stream(
-                    StreamConfig::new()
-                        .with_policy(RefreshPolicy::Manual)
-                        .with_acquisition(tight_acquisition()),
-                ),
+        ServeConfig::new()
+            .with_stream(
+                StreamConfig::new()
+                    .with_policy(RefreshPolicy::Manual)
+                    .with_acquisition(tight_acquisition()),
             )
+            .with_role(FabricRole::Coordinator {
+                replicas: Vec::new(),
+                sync_interval: Duration::from_millis(25),
+            })
             .with_retry(retry.clone()),
     )
     .unwrap();
@@ -131,17 +132,17 @@ fn ingest_node_crash_recovers_acknowledged_tuples_from_its_journal() {
     let proxy = ChaosProxy::start(coordinator.addr().to_string()).unwrap();
 
     let node_config = |journal: &PathBuf| {
-        IngestNodeConfig::new(proxy.addr().to_string())
-            .with_serve(
-                ServeConfig::new()
-                    .with_node_name("node-a")
-                    .with_journal(journal)
-                    .with_journal_fsync(FsyncPolicy::PerRecord),
-            )
-            .with_push_interval(Duration::from_millis(10))
+        ServeConfig::new()
+            .with_node_name("node-a")
+            .with_journal(journal)
+            .with_journal_fsync(FsyncPolicy::PerRecord)
+            .with_role(FabricRole::IngestNode {
+                coordinator: proxy.addr().to_string(),
+                push_interval: Duration::from_millis(10),
+            })
             .with_retry(retry.clone())
     };
-    let node = IngestNode::start(schema(), node_config(&journal)).unwrap();
+    let node = Server::start(schema(), node_config(&journal)).unwrap();
 
     // Batch 1 flows normally: ingested, journalled, pushed.
     let batch1 = rows(0, 120);
@@ -178,7 +179,7 @@ fn ingest_node_crash_recovers_acknowledged_tuples_from_its_journal() {
 
     // Restart from the crash image and heal the network.
     proxy.plan().partition(false);
-    let revived = IngestNode::start(schema(), node_config(&crash_image)).unwrap();
+    let revived = Server::start(schema(), node_config(&crash_image)).unwrap();
     let revived_stats = stats_of(revived.addr());
     assert_eq!(
         revived_stats.recovered_tuples,
@@ -215,41 +216,45 @@ fn coordinator_kill_restores_the_placement_map_from_a_checkpoint() {
     let checkpoint = temp_path("coord-checkpoint");
     let crash_image = temp_path("coord-crash-image");
 
-    let replicas: Vec<Replica> = (0..2)
-        .map(|_| Replica::start(schema(), ReplicaConfig::new().with_retry(retry.clone())).unwrap())
+    let push_fed =
+        FabricRole::Replica { coordinator: None, pull_interval: Duration::from_millis(50) };
+    let replicas: Vec<ServerHandle> = (0..2)
+        .map(|_| {
+            let config = ServeConfig::new().with_role(push_fed.clone()).with_retry(retry.clone());
+            Server::start(schema(), config).unwrap()
+        })
         .collect();
     let coordinator_config = |checkpoint: &PathBuf| {
-        let mut config = CoordinatorConfig::new()
-            .with_serve(
-                ServeConfig::new()
-                    .with_stream(
-                        StreamConfig::new()
-                            .with_policy(RefreshPolicy::Manual)
-                            .with_acquisition(tight_acquisition()),
-                    )
-                    .with_checkpoint(checkpoint)
-                    .with_checkpoint_interval(Duration::from_millis(25)),
+        ServeConfig::new()
+            .with_stream(
+                StreamConfig::new()
+                    .with_policy(RefreshPolicy::Manual)
+                    .with_acquisition(tight_acquisition()),
             )
-            .with_sync_interval(Duration::from_millis(10))
-            .with_retry(RetryPolicy::fast());
-        for replica in &replicas {
-            config = config.with_replica(replica.addr().to_string());
-        }
-        config
+            .with_checkpoint(checkpoint)
+            .with_checkpoint_interval(Duration::from_millis(25))
+            .with_role(FabricRole::Coordinator {
+                replicas: replicas.iter().map(|replica| replica.addr().to_string()).collect(),
+                sync_interval: Duration::from_millis(10),
+            })
+            .with_retry(RetryPolicy::fast())
     };
-    let coordinator = Coordinator::start(schema(), coordinator_config(&checkpoint)).unwrap();
+    let coordinator = Server::start(schema(), coordinator_config(&checkpoint)).unwrap();
     // Ingest nodes dial the proxy, so the coordinator can "move" without
     // them noticing — the proxy plays the stable address a load balancer
     // or virtual IP would provide.
     let proxy = ChaosProxy::start(coordinator.addr().to_string()).unwrap();
-    let nodes: Vec<IngestNode> = ["node-a", "node-b"]
+    let nodes: Vec<ServerHandle> = ["node-a", "node-b"]
         .iter()
         .map(|name| {
-            IngestNode::start(
+            Server::start(
                 schema(),
-                IngestNodeConfig::new(proxy.addr().to_string())
-                    .with_serve(ServeConfig::new().with_node_name(*name))
-                    .with_push_interval(Duration::from_millis(10))
+                ServeConfig::new()
+                    .with_node_name(*name)
+                    .with_role(FabricRole::IngestNode {
+                        coordinator: proxy.addr().to_string(),
+                        push_interval: Duration::from_millis(10),
+                    })
                     .with_retry(retry.clone()),
             )
             .unwrap()
@@ -302,7 +307,7 @@ fn coordinator_kill_restores_the_placement_map_from_a_checkpoint() {
     drop(coordinator);
     proxy.plan().partition(false);
 
-    let replacement = Coordinator::start(schema(), coordinator_config(&crash_image)).unwrap();
+    let replacement = Server::start(schema(), coordinator_config(&crash_image)).unwrap();
     proxy.retarget(replacement.addr().to_string());
     proxy.sever_all();
 
@@ -365,25 +370,30 @@ fn flapping_partitions_duplication_and_corruption_still_converge_exactly() {
         jitter_percent: 50,
     };
 
-    let coordinator = Coordinator::start(
+    let coordinator = Server::start(
         schema(),
-        CoordinatorConfig::new()
-            .with_serve(
-                ServeConfig::new().with_stream(
-                    StreamConfig::new()
-                        .with_policy(RefreshPolicy::Manual)
-                        .with_acquisition(tight_acquisition()),
-                ),
+        ServeConfig::new()
+            .with_stream(
+                StreamConfig::new()
+                    .with_policy(RefreshPolicy::Manual)
+                    .with_acquisition(tight_acquisition()),
             )
+            .with_role(FabricRole::Coordinator {
+                replicas: Vec::new(),
+                sync_interval: Duration::from_millis(25),
+            })
             .with_retry(retry.clone()),
     )
     .unwrap();
     let proxy = ChaosProxy::start(coordinator.addr().to_string()).unwrap();
-    let node = IngestNode::start(
+    let node = Server::start(
         schema(),
-        IngestNodeConfig::new(proxy.addr().to_string())
-            .with_serve(ServeConfig::new().with_node_name("node-a"))
-            .with_push_interval(Duration::from_millis(10))
+        ServeConfig::new()
+            .with_node_name("node-a")
+            .with_role(FabricRole::IngestNode {
+                coordinator: proxy.addr().to_string(),
+                push_interval: Duration::from_millis(10),
+            })
             .with_retry(retry),
     )
     .unwrap();

@@ -1,6 +1,7 @@
 //! The `pka-fabric` binary accepts the node flags `pka-serve` does: a
 //! coordinator booted with `--max-order` and `--lattice-order` comes up,
-//! serves, and shuts down cleanly over the wire.
+//! serves, and shuts down cleanly over the wire.  Each role refuses the
+//! peer flags of the others.
 
 use pka_serve::LineClient;
 use std::io::{BufRead, BufReader};
@@ -28,4 +29,36 @@ fn coordinator_boots_with_the_shared_node_flags() {
     assert_eq!(client.schema().unwrap().len(), 3);
     client.shutdown().unwrap();
     assert!(child.wait().unwrap().success());
+}
+
+/// A flag of another role is refused by name with exit status 1, before
+/// anything binds: each role parses only its own peer flags.
+#[test]
+fn each_role_refuses_another_roles_flags() {
+    for (args, flag) in [
+        (
+            &["replica", "--survey", "--port", "0", "--push-interval-ms", "5"][..],
+            "--push-interval-ms",
+        ),
+        (&["ingest-node", "--survey", "--port", "0", "--replica", "127.0.0.1:1"], "--replica"),
+        (
+            &["ingest-node", "--survey", "--coordinator", "127.0.0.1:1", "--sync-interval-ms", "5"],
+            "--sync-interval-ms",
+        ),
+        (
+            &["coordinator", "--survey", "--port", "0", "--coordinator", "127.0.0.1:1"],
+            "--coordinator",
+        ),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_pka-fabric"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .output()
+            .expect("run pka-fabric");
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(&format!("unknown flag `{flag}`")), "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{args:?} must not start a node");
+    }
 }

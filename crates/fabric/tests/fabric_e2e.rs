@@ -8,12 +8,8 @@
 
 use pka_contingency::{Assignment, ContingencyTable, Schema};
 use pka_core::{Acquisition, AcquisitionConfig, KnowledgeBase};
-use pka_fabric::{
-    Coordinator, CoordinatorConfig, IngestNode, IngestNodeConfig, Replica, ReplicaConfig,
-    RetryPolicy,
-};
 use pka_maxent::ConvergenceCriteria;
-use pka_serve::{LineClient, ServeConfig};
+use pka_serve::{FabricRole, LineClient, RetryPolicy, ServeConfig, Server, ServerHandle};
 use pka_stream::{CountShard, RefreshPolicy, StreamConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -58,36 +54,42 @@ fn fabric_converges_to_the_one_shot_acquisition() {
     let retry = RetryPolicy::fast();
 
     // Replicas first (push-fed; no coordinator address needed).
-    let replicas: Vec<Replica> = (0..2)
-        .map(|_| Replica::start(schema(), ReplicaConfig::new().with_retry(retry.clone())).unwrap())
+    let push_fed =
+        FabricRole::Replica { coordinator: None, pull_interval: Duration::from_millis(50) };
+    let replicas: Vec<ServerHandle> = (0..2)
+        .map(|_| {
+            let config = ServeConfig::new().with_role(push_fed.clone()).with_retry(retry.clone());
+            Server::start(schema(), config).unwrap()
+        })
         .collect();
 
     // The coordinator knows its replicas and refits only on demand, so the
     // test controls exactly when versions are published.
-    let mut coordinator_config = CoordinatorConfig::new()
-        .with_serve(
-            ServeConfig::new().with_stream(
-                StreamConfig::new()
-                    .with_policy(RefreshPolicy::Manual)
-                    .with_acquisition(tight_acquisition()),
-            ),
+    let coordinator_config = ServeConfig::new()
+        .with_stream(
+            StreamConfig::new()
+                .with_policy(RefreshPolicy::Manual)
+                .with_acquisition(tight_acquisition()),
         )
-        .with_sync_interval(Duration::from_millis(10))
+        .with_role(FabricRole::Coordinator {
+            replicas: replicas.iter().map(|replica| replica.addr().to_string()).collect(),
+            sync_interval: Duration::from_millis(10),
+        })
         .with_retry(retry.clone());
-    for replica in &replicas {
-        coordinator_config = coordinator_config.with_replica(replica.addr().to_string());
-    }
-    let coordinator = Coordinator::start(schema(), coordinator_config).unwrap();
+    let coordinator = Server::start(schema(), coordinator_config).unwrap();
 
     // Two push-capable ingest nodes.
-    let nodes: Vec<IngestNode> = ["node-a", "node-b"]
+    let nodes: Vec<ServerHandle> = ["node-a", "node-b"]
         .iter()
         .map(|name| {
-            IngestNode::start(
+            Server::start(
                 schema(),
-                IngestNodeConfig::new(coordinator.addr().to_string())
-                    .with_serve(ServeConfig::new().with_node_name(*name))
-                    .with_push_interval(Duration::from_millis(10))
+                ServeConfig::new()
+                    .with_node_name(*name)
+                    .with_role(FabricRole::IngestNode {
+                        coordinator: coordinator.addr().to_string(),
+                        push_interval: Duration::from_millis(10),
+                    })
                     .with_retry(retry.clone()),
             )
             .unwrap()

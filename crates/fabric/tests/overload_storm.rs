@@ -10,12 +10,9 @@
 
 use pka_contingency::{Assignment, ContingencyTable, Schema};
 use pka_core::{Acquisition, AcquisitionConfig, KnowledgeBase};
-use pka_fabric::{
-    ingest_storm, Coordinator, CoordinatorConfig, IngestNode, IngestNodeConfig, RetryPolicy,
-    StormConfig,
-};
+use pka_fabric::{ingest_storm, StormConfig};
 use pka_maxent::ConvergenceCriteria;
-use pka_serve::{LineClient, ServeConfig};
+use pka_serve::{FabricRole, LineClient, RetryPolicy, ServeConfig, Server, ServerHandle};
 use pka_stream::{CountShard, RefreshPolicy, StreamConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -57,30 +54,36 @@ fn storm_is_shed_gracefully_and_the_fit_stays_exact() {
     // A coordinator with the smallest possible write queue: one command in
     // flight, everything else shed.  Manual refresh keeps publishes under
     // test control.
-    let coordinator = Coordinator::start(
+    let coordinator = Server::start(
         schema(),
-        CoordinatorConfig::new()
-            .with_serve(
-                ServeConfig::new().with_engine_queue_cap(1).with_stream(
-                    StreamConfig::new()
-                        .with_policy(RefreshPolicy::Manual)
-                        .with_acquisition(tight_acquisition()),
-                ),
+        ServeConfig::new()
+            .with_engine_queue_cap(1)
+            .with_stream(
+                StreamConfig::new()
+                    .with_policy(RefreshPolicy::Manual)
+                    .with_acquisition(tight_acquisition()),
             )
+            .with_role(FabricRole::Coordinator {
+                replicas: Vec::new(),
+                sync_interval: Duration::from_millis(25),
+            })
             .with_retry(retry.clone()),
     )
     .unwrap();
 
     // Two pushers whose shard-pushes must squeeze through the same cap-1
     // queue the storm is flooding.
-    let nodes: Vec<IngestNode> = ["storm-a", "storm-b"]
+    let nodes: Vec<ServerHandle> = ["storm-a", "storm-b"]
         .iter()
         .map(|name| {
-            IngestNode::start(
+            Server::start(
                 schema(),
-                IngestNodeConfig::new(coordinator.addr().to_string())
-                    .with_serve(ServeConfig::new().with_node_name(*name))
-                    .with_push_interval(Duration::from_millis(2))
+                ServeConfig::new()
+                    .with_node_name(*name)
+                    .with_role(FabricRole::IngestNode {
+                        coordinator: coordinator.addr().to_string(),
+                        push_interval: Duration::from_millis(2),
+                    })
                     .with_retry(retry.clone()),
             )
             .unwrap()

@@ -17,6 +17,7 @@ use pka_stream::{Snapshot, SnapshotMeta, WIRE_FORMAT_VERSION};
 use proptest::prelude::*;
 use serde::{Serialize, Value};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn schema() -> Arc<Schema> {
     Schema::uniform(&[2, 2]).unwrap().into_shared()
@@ -40,6 +41,11 @@ fn start(role: FabricRole) -> pka_serve::ServerHandle {
     Server::start(schema(), ServeConfig::new().with_role(role)).unwrap()
 }
 
+/// A push-fed replica (no coordinator to poll).
+fn replica() -> FabricRole {
+    FabricRole::Replica { coordinator: None, pull_interval: Duration::from_millis(50) }
+}
+
 fn remote_code(result: Result<impl std::fmt::Debug, ServeError>) -> String {
     match result {
         Err(ServeError::Remote { code, .. }) => code,
@@ -49,7 +55,7 @@ fn remote_code(result: Result<impl std::fmt::Debug, ServeError>) -> String {
 
 #[test]
 fn stale_duplicate_and_reordered_offers_are_acknowledged_noops() {
-    let server = start(FabricRole::Replica);
+    let server = start(replica());
     let mut client = LineClient::connect(server.addr()).unwrap();
 
     let (meta1, kb1) = offer(1);
@@ -89,7 +95,7 @@ fn roles_refuse_the_methods_they_do_not_serve() {
     };
 
     // A replica serves reads only.
-    let replica = start(FabricRole::Replica);
+    let replica = start(replica());
     let mut client = LineClient::connect(replica.addr()).unwrap();
     assert_eq!(remote_code(client.ingest(&rows)), "role-unsupported");
     assert_eq!(remote_code(client.refresh()), "role-unsupported");
@@ -99,7 +105,17 @@ fn roles_refuse_the_methods_they_do_not_serve() {
     replica.shutdown().unwrap();
 
     // An ingest node accepts rows but no shard or snapshot deliveries.
-    let ingest_node = start(FabricRole::IngestNode);
+    // Its coordinator is not up: the pushes fail, which is not under test.
+    let ingest_node = Server::start(
+        schema(),
+        ServeConfig::new()
+            .with_role(FabricRole::IngestNode {
+                coordinator: "127.0.0.1:1".to_string(),
+                push_interval: Duration::from_millis(25),
+            })
+            .with_retry(pka_serve::RetryPolicy { attempts: 1, ..pka_serve::RetryPolicy::fast() }),
+    )
+    .unwrap();
     let mut client = LineClient::connect(ingest_node.addr()).unwrap();
     assert!(client.ingest(&rows).is_ok());
     assert_eq!(remote_code(client.shard_push("node-a", 1, &shard)), "role-unsupported");
@@ -107,7 +123,10 @@ fn roles_refuse_the_methods_they_do_not_serve() {
     ingest_node.shutdown().unwrap();
 
     // A coordinator accepts shard pushes but never snapshot offers.
-    let coordinator = start(FabricRole::Coordinator);
+    let coordinator = start(FabricRole::Coordinator {
+        replicas: Vec::new(),
+        sync_interval: Duration::from_millis(25),
+    });
     let mut client = LineClient::connect(coordinator.addr()).unwrap();
     assert!(client.shard_push("node-a", 1, &shard).unwrap().applied);
     assert_eq!(remote_code(client.snapshot_sync(&meta, &kb)), "role-unsupported");
@@ -125,7 +144,7 @@ fn roles_refuse_the_methods_they_do_not_serve() {
 
 #[test]
 fn forged_format_versions_are_refused_with_the_structured_code() {
-    let replica = start(FabricRole::Replica);
+    let replica = start(replica());
     let mut client = LineClient::connect(replica.addr()).unwrap();
     let (meta, kb) = offer(1);
 
@@ -145,7 +164,10 @@ fn forged_format_versions_are_refused_with_the_structured_code() {
     replica.shutdown().unwrap();
 
     // Forge a shard's format stamp on the coordinator path too.
-    let coordinator = start(FabricRole::Coordinator);
+    let coordinator = start(FabricRole::Coordinator {
+        replicas: Vec::new(),
+        sync_interval: Duration::from_millis(25),
+    });
     let mut client = LineClient::connect(coordinator.addr()).unwrap();
     let mut shard = pka_stream::CountShard::new(schema());
     shard.record(&[0, 0]).unwrap();
@@ -178,7 +200,7 @@ proptest! {
     fn prop_replica_versions_are_monotone_under_any_delivery_order(
         versions in proptest::collection::vec(1u64..6, 1..8),
     ) {
-        let server = start(FabricRole::Replica);
+        let server = start(replica());
         let mut client = LineClient::connect(server.addr()).unwrap();
         let mut highest = 0u64;
         for &version in &versions {

@@ -2,18 +2,19 @@
 //!
 //! `pka-serve` and each `pka-fabric` role parse the same node flags
 //! ([`NODE_FLAGS`], plus the [`NODE_SWITCHES`]) into the same
-//! [`ServeConfig`], so a flag means one thing everywhere; [`run_node`]
-//! then announces the bound address, routes `SIGTERM`/`SIGINT` to a
-//! graceful drain and waits for shutdown.  The binaries' `probe`
-//! subcommands share [`wait_for`] and [`hold_idle`].  Every flag either
-//! binary accepts is listed here, and [`Options::parse`] refuses any
-//! other.
+//! [`ServeConfig`], so a flag means one thing everywhere; a fabric role
+//! adds only its own peer flags ([`fabric_node`]).  [`run_node`] then
+//! announces the bound address, routes `SIGTERM`/`SIGINT` to a graceful
+//! drain and waits for shutdown.  The binaries' `probe` subcommands share
+//! [`wait_for`] and [`hold_idle`].  Every flag either binary accepts is
+//! listed here, and [`Options::parse`] refuses any other.
 
-use crate::{BucketSpec, LineClient, RateLimitConfig, ServeConfig, ServerStats, ShutdownTrigger};
+use crate::{
+    BucketSpec, FabricRole, LineClient, RateLimitConfig, ServeConfig, ServerHandle, ServerStats,
+};
 use pka_contingency::{Attribute, Schema};
 use pka_stream::{FsyncPolicy, RefreshPolicy, StreamConfig};
 use std::io::Write;
-use std::net::SocketAddr;
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,15 +47,14 @@ pub const NODE_FLAGS: &[&str] = &[
 /// The node switches (flags without a value).
 pub const NODE_SWITCHES: &[&str] = &["--survey"];
 
-/// The flags every `pka-fabric` role takes on top of [`NODE_FLAGS`].
-pub const FABRIC_FLAGS: &[&str] = &[
-    "--name",
-    "--coordinator",
-    "--replica",
-    "--sync-interval-ms",
-    "--push-interval-ms",
-    "--pull-interval-ms",
-];
+/// The flags `pka-fabric coordinator` takes on top of [`NODE_FLAGS`].
+pub const COORDINATOR_FLAGS: &[&str] = &["--replica", "--sync-interval-ms", "--name"];
+
+/// The flags `pka-fabric ingest-node` takes on top of [`NODE_FLAGS`].
+pub const INGEST_NODE_FLAGS: &[&str] = &["--coordinator", "--push-interval-ms", "--name"];
+
+/// The flags `pka-fabric replica` takes on top of [`NODE_FLAGS`].
+pub const REPLICA_FLAGS: &[&str] = &["--coordinator", "--pull-interval-ms", "--name"];
 
 /// The flags `pka-serve probe` takes.
 pub const SERVE_PROBE_FLAGS: &[&str] = &["--addr", "--idle-hold"];
@@ -252,20 +252,59 @@ pub fn node_config(options: &Options) -> Result<ServeConfig, String> {
     Ok(config.with_rate_limit(rate_limit))
 }
 
+/// One `pka-fabric` role's command line — `role` is `coordinator`,
+/// `ingest-node` or `replica` — as its schema and its configuration: the
+/// node flags plus the role's own flags, which fill the peer-carrying
+/// [`FabricRole`].  A flag of another role is refused like any unknown
+/// flag.  The retry/poll intervals default to 25 ms (`--sync-interval-ms`,
+/// `--push-interval-ms`) and 50 ms (`--pull-interval-ms`).
+pub fn fabric_node(role: &str, args: &[String]) -> Result<(Arc<Schema>, ServeConfig), String> {
+    let role_flags = match role {
+        "coordinator" => COORDINATOR_FLAGS,
+        "ingest-node" => INGEST_NODE_FLAGS,
+        "replica" => REPLICA_FLAGS,
+        other => return Err(format!("unknown fabric role `{other}`")),
+    };
+    let options = Options::parse(args, &[NODE_FLAGS, role_flags].concat(), NODE_SWITCHES)?;
+    let interval = |flag: &str, default_ms: u64| -> Result<Duration, String> {
+        Ok(Duration::from_millis(options.parsed(flag)?.unwrap_or(default_ms)))
+    };
+    let role = match role {
+        "coordinator" => FabricRole::Coordinator {
+            replicas: options.values("--replica").into_iter().map(String::from).collect(),
+            sync_interval: interval("--sync-interval-ms", 25)?,
+        },
+        "ingest-node" => FabricRole::IngestNode {
+            coordinator: options
+                .value("--coordinator")
+                .ok_or("ingest-node needs --coordinator HOST:PORT")?
+                .to_string(),
+            push_interval: interval("--push-interval-ms", 25)?,
+        },
+        _ => FabricRole::Replica {
+            coordinator: options.value("--coordinator").map(String::from),
+            pull_interval: interval("--pull-interval-ms", 50)?,
+        },
+    };
+    let mut config = node_config(&options)?.with_role(role);
+    if let Some(name) = options.value("--name") {
+        config = config.with_node_name(name);
+    }
+    Ok((build_schema(&options)?, config))
+}
+
 /// Runs a started node until it shuts down: prints `listening on <addr>`
 /// (so wrapper scripts can scrape an ephemeral port), routes
 /// `SIGTERM`/`SIGINT` to the same graceful drain a client `shutdown` does
-/// — connections drain and the engine thread cuts a final checkpoint, so
-/// an orchestrated restart never loses acknowledged work — then waits and
-/// prints `shut down cleanly`.
-pub fn run_node(
-    addr: SocketAddr,
-    trigger: ShutdownTrigger,
-    wait: impl FnOnce() -> Result<(), String>,
-) -> Result<(), String> {
-    println!("listening on {addr}");
+/// — connections drain, a fabric pump makes its final flush and the
+/// engine thread cuts a final checkpoint, so an orchestrated restart
+/// never loses acknowledged work — then waits and prints `shut down
+/// cleanly`.
+pub fn run_node(server: ServerHandle) -> Result<(), String> {
+    println!("listening on {}", server.addr());
     std::io::stdout().flush().ok();
     if let Ok(watch) = crate::watch_termination() {
+        let trigger = server.shutdown_trigger();
         std::thread::Builder::new()
             .name("node-signals".to_string())
             .spawn(move || {
@@ -274,7 +313,7 @@ pub fn run_node(
             })
             .map_err(|e| e.to_string())?;
     }
-    wait()?;
+    server.wait().map_err(|e| e.to_string())?;
     println!("shut down cleanly");
     Ok(())
 }

@@ -488,16 +488,8 @@ impl LineClient {
         match result.get("snapshot") {
             None | Some(Value::Null) => Ok(None),
             Some(snapshot) => {
-                let meta_value = snapshot.get("meta").ok_or_else(|| ServeError::BadResponse {
-                    reason: "snapshot without `meta`".into(),
-                })?;
-                let meta = SnapshotMeta::from_value(meta_value)
-                    .map_err(|e| ServeError::BadResponse { reason: e.to_string() })?;
-                let kb_value = snapshot.get("knowledge_base").ok_or_else(|| {
-                    ServeError::BadResponse { reason: "snapshot without `knowledge_base`".into() }
-                })?;
-                let mut knowledge_base = KnowledgeBase::deserialize(kb_value)
-                    .map_err(|e| ServeError::BadResponse { reason: e.to_string() })?;
+                let (meta, mut knowledge_base) = protocol::snapshot_from_value(snapshot)
+                    .map_err(|e| ServeError::BadResponse { reason: e.message })?;
                 knowledge_base.rebuild_indexes();
                 Ok(Some((meta, knowledge_base)))
             }

@@ -31,6 +31,11 @@
 //!    reaping, slow-reader backpressure and a graceful shutdown drain —
 //!    see `docs/net.md`.
 //!
+//! A [`FabricRole`] makes a server one node of a `pka-fabric`
+//! deployment: the role carries the node's peers, and the server runs the
+//! role's pump thread itself (pushing shards, offering or pulling
+//! snapshots) through retrying [`FabricClient`]s.
+//!
 //! [`cli`] is the command-line surface `pka-serve` and every `pka-fabric`
 //! role share: one flag parser, one schema builder, one signal drain.
 //!
@@ -55,21 +60,23 @@ pub mod admission;
 pub mod cli;
 pub mod client;
 pub mod error;
+mod fabric;
 pub mod protocol;
 pub mod queue;
+pub mod retry;
 pub mod server;
-pub mod watch;
+mod watch;
 
 pub use admission::{Admission, AdmissionCounters, BucketSpec, RateLimitConfig};
 pub use client::{ClientConfig, LineClient, NamedQuery, QueryAnswer, ShardPullAnswer};
 pub use error::ServeError;
+pub use fabric::FabricRole;
 pub use protocol::{ErrorCode, Request, DEFAULT_MAX_LINE_BYTES};
+pub use retry::{FabricClient, RetryPolicy};
 pub use server::{
-    DurabilityConfig, EngineStats, FabricRole, IngestSummary, RefitPhaseMicros, RefitSummary,
-    ServeConfig, Server, ServerHandle, ServerStats, ShardPushSummary, ShutdownTrigger, SourceStat,
-    SyncSummary,
+    DurabilityConfig, EngineStats, IngestSummary, RefitPhaseMicros, RefitSummary, ServeConfig,
+    Server, ServerHandle, ServerStats, ShardPushSummary, ShutdownTrigger, SourceStat, SyncSummary,
 };
-pub use watch::ChangeWatch;
 
 // Termination-signal plumbing, re-exported so binaries built on this
 // crate (pka-serve itself, pka-fabric) can route SIGTERM to a graceful

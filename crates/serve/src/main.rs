@@ -77,9 +77,7 @@ fn serve(args: &[String]) -> Result<(), String> {
     let schema = cli::build_schema(&options)?;
     let server = Server::start(schema, cli::node_config(&options)?).map_err(|e| e.to_string())?;
     // Serve until a client sends `shutdown` (or a signal arrives).
-    cli::run_node(server.addr(), server.shutdown_trigger(), || {
-        server.wait().map(drop).map_err(|e| e.to_string())
-    })
+    cli::run_node(server)
 }
 
 /// The integration probe: drives every protocol method against a live

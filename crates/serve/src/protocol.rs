@@ -28,8 +28,9 @@
 //! their tree from the text once ([`Raw::to_value`]).
 
 use pka_contingency::{Assignment, Schema};
-use pka_core::Query;
-use serde::Value;
+use pka_core::{KnowledgeBase, Query};
+use pka_stream::{SnapshotMeta, StreamError};
+use serde::{Deserialize, Value};
 use serde_json::{Cursor, Kind, Raw};
 use std::borrow::Cow;
 
@@ -417,6 +418,32 @@ fn decode_assignment<'a>(
 
 fn invalid_params(message: String) -> RequestError {
     RequestError::new(ErrorCode::InvalidParams, message)
+}
+
+/// Decodes a snapshot's `meta` and `knowledge_base` fields: the one
+/// decode a `snapshot-sync` request and a `snapshot-pull` answer share.
+/// The knowledge base comes back without its derived indexes (the engine
+/// rebuilds them, never trusting them from the wire).
+pub fn snapshot_from_value(value: &Value) -> Result<(SnapshotMeta, KnowledgeBase), RequestError> {
+    let meta = value.get("meta").ok_or_else(|| invalid_params("missing `meta`".into()))?;
+    let meta = SnapshotMeta::from_value(meta).map_err(stream_error)?;
+    let knowledge_base = value
+        .get("knowledge_base")
+        .ok_or_else(|| invalid_params("missing `knowledge_base`".into()))?;
+    let knowledge_base = KnowledgeBase::deserialize(knowledge_base)
+        .map_err(|e| invalid_params(format!("`knowledge_base` is malformed: {e}")))?;
+    Ok((meta, knowledge_base))
+}
+
+/// Maps a payload-parsing [`StreamError`] onto the wire error taxonomy:
+/// format-version mismatches keep their structured code so callers can
+/// distinguish an incompatible build from a merely malformed payload.
+pub(crate) fn stream_error(error: StreamError) -> RequestError {
+    let code = match error {
+        StreamError::FormatVersion { .. } => ErrorCode::FormatVersion,
+        _ => ErrorCode::InvalidParams,
+    };
+    RequestError::new(code, error.to_string())
 }
 
 /// Renders a partial assignment as a `{"attribute": "value", …}` object.

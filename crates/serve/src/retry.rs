@@ -5,15 +5,15 @@
 //! socket timeout, a torn response) drop the connection and retry with
 //! exponential backoff; **protocol** errors — the peer answered, and said
 //! no — are returned immediately, because resending the same request would
-//! only earn the same refusal.
+//! only earn the same refusal.  A call that runs out of attempts returns
+//! its last attempt's [`ServeError`].
 
-use crate::{FabricError, Result};
-use pka_serve::{ClientConfig, LineClient, ServeError};
-use rand::{Rng, SeedableRng, StdRng};
+use crate::{ClientConfig, LineClient, ServeError};
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::time::Duration;
 
-/// How hard a [`FabricClient`] tries before reporting
-/// [`FabricError::Exhausted`].
+/// How hard a [`FabricClient`] tries before giving up.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts (first try included); at least 1.
@@ -71,17 +71,13 @@ impl RetryPolicy {
         doubled.min(self.max_backoff)
     }
 
-    /// The backoff actually slept: [`RetryPolicy::backoff`] scaled by a
-    /// random factor in `[1 − jitter/100, 1]`, decorrelating the retry
-    /// clocks of peers that failed at the same instant.
-    pub fn jittered_backoff(&self, n: u32, rng: &mut impl Rng) -> Duration {
-        let full = self.backoff(n);
-        let jitter = self.jitter_percent.min(100);
-        if jitter == 0 {
-            return full;
-        }
-        let factor = 1.0 - rng.random::<f64>() * f64::from(jitter) / 100.0;
-        full.mul_f64(factor)
+    /// A sleep actually taken: `full` (a [`RetryPolicy::backoff`] or a
+    /// server's `retry_after_ms` hint) scaled by the factor
+    /// `1 − draw · jitter/100`, in `[1 − jitter/100, 1]` for a uniform
+    /// `draw` in `[0, 1)`.  Random draws decorrelate the retry clocks of
+    /// peers that failed, or were shed, at the same instant.
+    pub fn jitter(&self, full: Duration, draw: f64) -> Duration {
+        full.mul_f64(1.0 - draw * f64::from(self.jitter_percent.min(100)) / 100.0)
     }
 }
 
@@ -90,16 +86,27 @@ pub struct FabricClient {
     addr: String,
     policy: RetryPolicy,
     client: Option<LineClient>,
-    /// Per-client jitter source, OS-seeded so clients born at the same
-    /// instant (every pusher, after a coordinator outage) still draw
-    /// different backoff factors.
-    rng: StdRng,
+    /// Per-client jitter stream (splitmix64), seeded from the OS-keyed
+    /// std hasher so clients born at the same instant (every pusher,
+    /// after a coordinator outage) still draw different backoff factors.
+    jitter_state: u64,
 }
 
 impl FabricClient {
     /// A client for `addr`; no connection is made until the first call.
     pub fn new(addr: impl Into<String>, policy: RetryPolicy) -> Self {
-        Self { addr: addr.into(), policy, client: None, rng: StdRng::from_os_rng() }
+        let addr = addr.into();
+        let jitter_state = RandomState::new().hash_one(&addr);
+        Self { addr, policy, client: None, jitter_state }
+    }
+
+    /// The next uniform draw in `[0, 1)` of this client's jitter stream.
+    fn next_draw(&mut self) -> f64 {
+        self.jitter_state = self.jitter_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.jitter_state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// The peer address this client talks to.
@@ -119,20 +126,18 @@ impl FabricClient {
     /// `max_backoff`) instead of the exponential schedule.
     pub fn call<T>(
         &mut self,
-        mut op: impl FnMut(&mut LineClient) -> std::result::Result<T, ServeError>,
-    ) -> Result<T> {
-        let attempts = self.policy.attempts.max(1);
-        let mut last = String::from("no attempt was made");
+        mut op: impl FnMut(&mut LineClient) -> Result<T, ServeError>,
+    ) -> Result<T, ServeError> {
+        let mut last = None;
         let mut sleep_hint: Option<Duration> = None;
-        for attempt in 0..attempts {
+        for attempt in 0..self.policy.attempts.max(1) {
             if attempt > 0 {
-                let backoff = match sleep_hint.take() {
-                    Some(hint) => {
-                        jitter(hint.min(self.policy.max_backoff), &self.policy, &mut self.rng)
-                    }
-                    None => self.policy.jittered_backoff(attempt as u32 - 1, &mut self.rng),
+                let full = match sleep_hint.take() {
+                    Some(hint) => hint.min(self.policy.max_backoff),
+                    None => self.policy.backoff(attempt as u32 - 1),
                 };
-                std::thread::sleep(backoff);
+                let draw = self.next_draw();
+                std::thread::sleep(self.policy.jitter(full, draw));
             }
             let client = match self.client.as_mut() {
                 Some(client) => client,
@@ -141,7 +146,7 @@ impl FabricClient {
                     match LineClient::connect_with(&self.addr, &config) {
                         Ok(client) => self.client.insert(client),
                         Err(e) => {
-                            last = e.to_string();
+                            last = Some(e);
                             continue;
                         }
                     }
@@ -149,45 +154,32 @@ impl FabricClient {
             };
             match op(client) {
                 Ok(value) => return Ok(value),
-                Err(e @ ServeError::Remote { .. }) => {
-                    let ServeError::Remote { code, retry_after_ms, .. } = &e else {
-                        unreachable!()
-                    };
-                    if code != "server-overloaded" {
-                        return Err(FabricError::Serve(e));
-                    }
+                Err(ServeError::Remote { code, message, retry_after_ms })
+                    if code == "server-overloaded" =>
+                {
                     // A shed, not a verdict: the connection answered and
                     // stays healthy, so keep it and retry after the
                     // server's hint (or the normal schedule without one).
                     sleep_hint = retry_after_ms.map(|ms| Duration::from_millis(ms.max(1)));
-                    last = e.to_string();
+                    last = Some(ServeError::Remote { code, message, retry_after_ms });
                 }
+                Err(e @ ServeError::Remote { .. }) => return Err(e),
                 Err(e) => {
                     // Transport or framing trouble: the connection's state
                     // is unknown, so drop it and reconnect on the retry.
-                    last = e.to_string();
+                    last = Some(e);
                     self.client = None;
                 }
             }
         }
-        Err(FabricError::Exhausted { attempts, last })
+        Err(last.expect("at least one attempt is always made"))
     }
-}
-
-/// Scales a server-supplied backoff hint by the policy's jitter band, so
-/// a fleet of pushers shed at the same instant does not return in
-/// lockstep at exactly `retry_after_ms`.
-fn jitter(full: Duration, policy: &RetryPolicy, rng: &mut impl Rng) -> Duration {
-    let jitter = policy.jitter_percent.min(100);
-    if jitter == 0 {
-        return full;
-    }
-    full.mul_f64(1.0 - rng.random::<f64>() * f64::from(jitter) / 100.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng, StdRng};
 
     #[test]
     fn backoff_doubles_and_caps() {
@@ -210,7 +202,7 @@ mod tests {
         let policy = RetryPolicy { jitter_percent: 50, ..RetryPolicy::default() };
         let full = policy.backoff(2);
         let mut rng = StdRng::seed_from_u64(7);
-        let draws: Vec<Duration> = (0..64).map(|_| policy.jittered_backoff(2, &mut rng)).collect();
+        let draws: Vec<Duration> = (0..64).map(|_| policy.jitter(full, rng.random())).collect();
         for d in &draws {
             assert!(*d <= full, "jitter may only shorten the sleep");
             assert!(d.as_secs_f64() >= full.as_secs_f64() * 0.5 - 1e-9);
@@ -221,7 +213,17 @@ mod tests {
         );
 
         let none = RetryPolicy { jitter_percent: 0, ..RetryPolicy::default() };
-        assert_eq!(none.jittered_backoff(2, &mut rng), none.backoff(2));
+        assert_eq!(none.jitter(none.backoff(2), rng.random()), none.backoff(2));
+    }
+
+    #[test]
+    fn clients_draw_independent_jitter_streams() {
+        let mut a = FabricClient::new("127.0.0.1:1", RetryPolicy::default());
+        let mut b = FabricClient::new("127.0.0.1:1", RetryPolicy::default());
+        let (da, db): (Vec<f64>, Vec<f64>) =
+            (0..16).map(|_| (a.next_draw(), b.next_draw())).unzip();
+        assert!(da.iter().chain(&db).all(|d| (0.0..1.0).contains(d)));
+        assert_ne!(da, db, "two clients of one peer must not retry in lockstep");
     }
 
     #[test]
@@ -230,18 +232,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let hint = Duration::from_millis(80);
         for _ in 0..32 {
-            let slept = jitter(hint, &policy, &mut rng);
+            let slept = policy.jitter(hint, rng.random());
             assert!(slept <= hint);
             assert!(slept.as_secs_f64() >= hint.as_secs_f64() * 0.5 - 1e-9);
         }
         let none = RetryPolicy { jitter_percent: 0, ..RetryPolicy::default() };
-        assert_eq!(jitter(hint, &none, &mut rng), hint);
+        assert_eq!(none.jitter(hint, rng.random()), hint);
     }
 
     #[test]
     fn overload_refusals_are_retried_and_other_refusals_are_not() {
+        use crate::{BucketSpec, RateLimitConfig, ServeConfig, Server};
         use pka_contingency::Schema;
-        use pka_serve::{BucketSpec, RateLimitConfig, ServeConfig, Server};
 
         let schema = Schema::uniform(&[2, 2]).unwrap().into_shared();
         // One banked request per connection, refilling fast enough for a
@@ -270,9 +272,8 @@ mod tests {
         client.call(|c| c.ping()).unwrap();
 
         // A non-overload refusal is the answer: no retry, no exhaustion.
-        match client.call(|c| c.call("no-such-method", pka_serve::protocol::object([])).map(|_| ()))
-        {
-            Err(FabricError::Serve(ServeError::Remote { code, .. })) => {
+        match client.call(|c| c.call("no-such-method", crate::protocol::object([])).map(|_| ())) {
+            Err(ServeError::Remote { code, .. }) => {
                 assert_eq!(code, "unknown-method");
             }
             other => panic!("expected an immediate refusal, got {other:?}"),
@@ -282,23 +283,35 @@ mod tests {
 
     #[test]
     fn unreachable_peer_exhausts_with_the_last_error() {
+        let policy = RetryPolicy {
+            attempts: 2,
+            initial_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(1),
+            deadline: Duration::from_millis(200),
+            jitter_percent: 0,
+        };
         // A port from the dynamic range with nothing listening: connects
         // are refused immediately, so this stays fast.
-        let mut client = FabricClient::new(
-            "127.0.0.1:1",
-            RetryPolicy {
-                attempts: 2,
-                initial_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(1),
-                deadline: Duration::from_millis(200),
-                jitter_percent: 0,
-            },
-        );
-        match client.call(|c| c.ping()) {
-            Err(FabricError::Exhausted { attempts: 2, last }) => {
-                assert!(!last.is_empty());
-            }
+        match FabricClient::new("127.0.0.1:1", policy.clone()).call(|c| c.ping()) {
+            Err(ServeError::Io(e)) => assert!(!e.to_string().is_empty()),
+            other => panic!("expected the refused connect, got {other:?}"),
+        }
+
+        // A listener that never accepts still completes connects (the
+        // kernel's backlog does), so every attempt reaches `op`: the
+        // client makes exactly `attempts` of them and returns the last
+        // attempt's transport error.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = FabricClient::new(listener.local_addr().unwrap().to_string(), policy);
+        let mut tries = 0;
+        let outcome: Result<(), ServeError> = client.call(|_| {
+            tries += 1;
+            Err(ServeError::Io(std::io::Error::other(format!("attempt {tries}"))))
+        });
+        match outcome {
+            Err(ServeError::Io(e)) => assert_eq!(e.to_string(), "attempt 2"),
             other => panic!("expected exhaustion, got {other:?}"),
         }
+        assert_eq!(tries, 2);
     }
 }

@@ -7,7 +7,8 @@
 //!   runs on `pka-net`'s event-loop shards: an acceptor thread hands
 //!   nonblocking sockets round-robin to `loop_shards` epoll loops, so
 //!   the server's thread count is `loop_shards + 2` (loops + acceptor +
-//!   engine) whether ten or ten thousand connections are open.
+//!   engine; a [`FabricRole`] adds its one pump)
+//!   whether ten or ten thousand connections are open.
 //! * **Readers never contend.**  Every loop shard answers `query` /
 //!   `explain` / `snapshot-version` requests from
 //!   [`SnapshotHandle::load`] — a wait-free atomic-pointer load — so a
@@ -43,12 +44,14 @@
 //! * **Shutdown is cooperative and leak-free.**  The reactor and the
 //!   engine share one shutdown flag; [`ServerHandle::shutdown`] raises
 //!   it, joins the reactor (which drains and closes every connection),
-//!   then joins the engine thread and returns the engine — if a thread
-//!   leaked, shutdown would hang, which is exactly what the CI smoke
-//!   test checks with a timeout.
+//!   closes the change watch and joins the fabric pump (whose final
+//!   flush still reaches the running engine), then joins the engine
+//!   thread and returns the engine — if a thread leaked, shutdown would
+//!   hang, which is exactly what the CI smoke test checks with a timeout.
 
 use crate::admission::{Admission, AdmissionCounters, RateLimitConfig};
 use crate::error::ServeError;
+use crate::fabric::{self, FabricRole, PumpContext};
 use crate::protocol::{
     self, assignment_to_value, error_line, ok_line, parse_request, rows_from_value, ErrorCode,
     Request, RequestError, DEFAULT_MAX_LINE_BYTES,
@@ -56,6 +59,7 @@ use crate::protocol::{
 use crate::queue::{
     engine_channel, CommandClass, EngineQueue, EngineSender, PushRefusal, QueueEntry, RecvOutcome,
 };
+use crate::retry::RetryPolicy;
 use crate::watch::ChangeWatch;
 use pka_contingency::{Assignment, Schema};
 use pka_core::{KnowledgeBase, Query, QueryResult};
@@ -66,8 +70,8 @@ use pka_net::{
 };
 use pka_stream::{
     CountShard, FabricCheckpoint, FsyncPolicy, RefitOutcome, RefitPhases, RefitReport,
-    RemoteDelivery, ShardJournal, Snapshot, SnapshotHandle, SnapshotMeta, StreamConfig,
-    StreamError, StreamingEngine, SyncReport, WIRE_FORMAT_VERSION,
+    RefreshPolicy, RemoteDelivery, ShardJournal, Snapshot, SnapshotHandle, SnapshotMeta,
+    StreamConfig, StreamError, StreamingEngine, SyncReport, WIRE_FORMAT_VERSION,
 };
 use serde::{Deserialize, Serialize, Value};
 use std::net::SocketAddr;
@@ -76,39 +80,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// A server's place in a `pka-fabric` deployment, gating which protocol
-/// methods it serves.  Every role answers the full read protocol (`query`,
-/// `query-batch`, `explain`, `schema`, `snapshot-version`, `snapshot-pull`,
-/// `shard-pull`, `stats`, `ping`); the differences are on the write side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FabricRole {
-    /// A single-node server: everything except `snapshot-sync` (it has no
-    /// coordinator to follow).
-    #[default]
-    Standalone,
-    /// Merges local ingest plus remote `shard-push` deliveries and
-    /// publishes snapshots for replicas; rejects `snapshot-sync`.
-    Coordinator,
-    /// Tabulates local `ingest` for export via `shard-pull`; rejects
-    /// `shard-push` (it is a leaf, not a merge point) and `snapshot-sync`.
-    IngestNode,
-    /// Serves reads from snapshots received via `snapshot-sync`; rejects
-    /// every local write (`ingest`, `refresh`, `shard-push`).
-    Replica,
-}
-
-impl FabricRole {
-    /// Kebab-case spelling used in stats and role-gate error messages.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FabricRole::Standalone => "standalone",
-            FabricRole::Coordinator => "coordinator",
-            FabricRole::IngestNode => "ingest-node",
-            FabricRole::Replica => "replica",
-        }
-    }
-}
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -123,8 +94,11 @@ pub struct ServeConfig {
     /// Cap on one request line; longer lines are discarded and answered
     /// with an `overlong-line` error.
     pub max_line_bytes: usize,
-    /// The server's fabric role (default [`FabricRole::Standalone`]).
+    /// The server's fabric role and the peers its pump talks to (default
+    /// [`FabricRole::Standalone`], which runs no pump).
     pub role: FabricRole,
+    /// Retry policy for every peer conversation of the role's pump.
+    pub retry: RetryPolicy,
     /// Name this node reports as the `source` of its `shard-pull` exports;
     /// defaults to the bound address.
     pub node_name: Option<String>,
@@ -224,6 +198,12 @@ impl ServeConfig {
         self
     }
 
+    /// Sets the pump's peer retry policy.
+    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
+        self.retry = retry;
+        self
+    }
+
     /// Sets the node name reported as this server's `shard-pull` source.
     pub fn with_node_name(mut self, node_name: impl Into<String>) -> Self {
         self.node_name = Some(node_name.into());
@@ -293,6 +273,7 @@ impl Default for ServeConfig {
             stream: StreamConfig::default(),
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             role: FabricRole::Standalone,
+            retry: RetryPolicy::default(),
             node_name: None,
             loop_shards: 2,
             max_connections: 8192,
@@ -544,12 +525,12 @@ pub struct ServerStats {
 /// How an [`EngineCommand`]'s outcome travels back: a closure built on the
 /// loop shard that formats the response line and delivers it through the
 /// requesting connection's [`Completion`].  Runs on the engine thread.
-type Responder<T> = Box<dyn FnOnce(T) + Send>;
+pub(crate) type Responder<T> = Box<dyn FnOnce(T) + Send>;
 
 /// A structured refusal travelling back through a responder: the engine
 /// failed the work (`ingest-error`), or the command's `deadline_ms`
 /// budget expired while it waited in the queue (`deadline-exceeded`).
-struct Refusal {
+pub(crate) struct Refusal {
     code: ErrorCode,
     message: String,
 }
@@ -567,8 +548,9 @@ impl Refusal {
     }
 }
 
-/// Commands forwarded from loop shards to the engine thread.
-enum EngineCommand {
+/// Commands forwarded from loop shards (and the fabric pump) to the
+/// engine thread.
+pub(crate) enum EngineCommand {
     Ingest {
         rows: Vec<Vec<usize>>,
         reply: Responder<Result<IngestSummary, Refusal>>,
@@ -586,11 +568,13 @@ enum EngineCommand {
         shard: CountShard,
         reply: Responder<Result<ShardPushSummary, Refusal>>,
     },
-    /// A `shard-pull` export of the engine's local counts.
+    /// A `shard-pull` export of the engine's local counts (also an ingest
+    /// node's push).
     ExportShard {
         reply: Responder<Result<(CountShard, u64), Refusal>>,
     },
-    /// A `snapshot-sync` delivery from a coordinator.
+    /// A `snapshot-sync` delivery from a coordinator (or a snapshot a
+    /// replica's pump pulled).
     SyncSnapshot {
         meta: SnapshotMeta,
         knowledge_base: Box<KnowledgeBase>,
@@ -662,11 +646,18 @@ fn server_stats(shared: &Shared) -> ServerStats {
 pub struct Server;
 
 impl Server {
-    /// Binds the listener, spawns the engine thread and the reactor
-    /// (acceptor + loop shards), and returns a handle.  The server is
-    /// serving as soon as this returns.
+    /// Binds the listener, spawns the engine thread, the reactor
+    /// (acceptor + loop shards) and the fabric role's pump, and returns a
+    /// handle.  The server is serving as soon as this returns.
     pub fn start(schema: Arc<Schema>, config: ServeConfig) -> Result<ServerHandle, ServeError> {
-        let mut engine = StreamingEngine::new(Arc::clone(&schema), config.stream.clone())
+        config.role.validate()?;
+        let mut stream = config.stream.clone();
+        if matches!(config.role, FabricRole::IngestNode { .. }) {
+            // The node only tabulates; fitting happens on the coordinator
+            // over the merged counts.
+            stream.policy = RefreshPolicy::Manual;
+        }
+        let mut engine = StreamingEngine::new(Arc::clone(&schema), stream)
             .map_err(|e| ServeError::Config { reason: e.to_string() })?;
         // Recovery runs synchronously, before the listener exists: by the
         // time a client can connect, every durable tuple is back.
@@ -700,7 +691,7 @@ impl Server {
         let shared = Arc::new(Shared {
             schema,
             snapshots,
-            role: config.role,
+            role: config.role.clone(),
             node_name: config.node_name.clone().unwrap_or_else(|| addr.to_string()),
             shutdown: Arc::clone(&shutdown),
             max_line_bytes: net_config.max_line_bytes,
@@ -714,10 +705,13 @@ impl Server {
             queue,
             admission: Arc::clone(&admission),
         });
-        // The reactor threads hold the only service `Arc`s (and with them
-        // the only `EngineCommand` senders outside in-flight responders):
-        // when the reactor joins, the senders drop and the engine thread
-        // finishes.  The handle deliberately keeps neither.
+        // The reactor threads hold the only service `Arc`s, and with them
+        // the only `EngineCommand` senders besides the pump's and those in
+        // in-flight responders.  The pump's sender lets its final flush
+        // reach the engine after the reactor has joined; once the pump
+        // exits too, the engine thread finishes.  The handle deliberately
+        // keeps no sender.
+        let pump_engine = engine_tx.clone();
         let service = Arc::new(ServeService {
             shared: Arc::clone(&shared),
             engine_tx,
@@ -725,13 +719,27 @@ impl Server {
         });
         let reactor = Reactor::start(listener, service, net_config, shutdown, metrics)?;
 
-        Ok(ServerHandle {
+        let mut server = ServerHandle {
             addr,
             shared,
             changes,
             reactor: Some(reactor),
+            pump: None,
             engine: Some(engine_thread),
-        })
+        };
+        // Spawned last: if the spawn fails, dropping `server` shuts the
+        // rest down in order.
+        server.pump = fabric::spawn_pump(
+            &config.role,
+            PumpContext {
+                snapshots: server.snapshots(),
+                engine: pump_engine,
+                changes: Arc::clone(&server.changes),
+                node_name: server.shared.node_name.clone(),
+                retry: config.retry,
+            },
+        )?;
+        Ok(server)
     }
 }
 
@@ -743,6 +751,7 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     changes: Arc<ChangeWatch>,
     reactor: Option<ReactorHandle>,
+    pump: Option<JoinHandle<()>>,
     engine: Option<JoinHandle<StreamingEngine>>,
 }
 
@@ -761,14 +770,6 @@ impl ServerHandle {
     /// readers and tests).
     pub fn snapshots(&self) -> SnapshotHandle {
         self.shared.snapshots.clone()
-    }
-
-    /// The engine's change counter: bumped after every command that can
-    /// change counts or the published snapshot (`ingest`, `shard-push`,
-    /// `refresh`, `snapshot-sync`), once the command has been journalled
-    /// and answered.  Fabric pumps block on it to propagate on change.
-    pub fn changes(&self) -> Arc<ChangeWatch> {
-        Arc::clone(&self.changes)
     }
 
     /// The reactor's connection telemetry (also surfaced in `stats`
@@ -795,13 +796,20 @@ impl ServerHandle {
         self.join_threads()
     }
 
+    /// Joins in dependency order: the reactor drains (no new work), the
+    /// change watch closes, the pump makes its final flush through the
+    /// still-running engine and exits, and the engine — its last sender
+    /// gone — finishes and cuts its final checkpoint.
     fn join_threads(&mut self) -> Result<StreamingEngine, ServeError> {
         if let Some(mut reactor) = self.reactor.take() {
             // Blocks until the shutdown flag rises (here, or via a client's
             // `shutdown` request) and the drain completes; on return the
-            // reactor threads have dropped their service `Arc`s, so the
-            // engine thread's channel closes and it exits next.
+            // reactor threads have dropped their service `Arc`s.
             reactor.join();
+        }
+        self.changes.close();
+        if let Some(pump) = self.pump.take() {
+            let _ = pump.join();
         }
         let engine = self
             .engine
@@ -1465,11 +1473,7 @@ fn dispatch(
             ]))
         }
         "ingest" => {
-            require_role(
-                request,
-                shared,
-                &[FabricRole::Standalone, FabricRole::Coordinator, FabricRole::IngestNode],
-            )?;
+            require_role(request, shared)?;
             let rows = rows_from_value(&request.params)?;
             let reply = summary_responder::<IngestSummary>(request, shared, completion);
             send_engine(
@@ -1482,11 +1486,7 @@ fn dispatch(
             Ok(Dispatched::Deferred)
         }
         "refresh" => {
-            require_role(
-                request,
-                shared,
-                &[FabricRole::Standalone, FabricRole::Coordinator, FabricRole::IngestNode],
-            )?;
+            require_role(request, shared)?;
             let reply = summary_responder::<RefitSummary>(request, shared, completion);
             send_engine(
                 engine_tx,
@@ -1525,7 +1525,7 @@ fn dispatch(
             Ok(Dispatched::Deferred)
         }
         "shard-push" => {
-            require_role(request, shared, &[FabricRole::Standalone, FabricRole::Coordinator])?;
+            require_role(request, shared)?;
             let params = request.params.to_value();
             let source = match params.get("source") {
                 Some(Value::Str(s)) if !s.is_empty() => s.clone(),
@@ -1548,8 +1548,7 @@ fn dispatch(
             };
             let shard_value =
                 params.get("shard").ok_or_else(|| invalid_params("missing `shard`"))?;
-            let shard = CountShard::from_value(shard_value)
-                .map_err(|e| stream_error_to_request(e, request))?;
+            let shard = CountShard::from_value(shard_value).map_err(protocol::stream_error)?;
             let reply = summary_responder::<ShardPushSummary>(request, shared, completion);
             send_engine(
                 engine_tx,
@@ -1596,16 +1595,8 @@ fn dispatch(
             Ok(Dispatched::Deferred)
         }
         "snapshot-sync" => {
-            require_role(request, shared, &[FabricRole::Replica])?;
-            let params = request.params.to_value();
-            let meta_value = params.get("meta").ok_or_else(|| invalid_params("missing `meta`"))?;
-            let meta = SnapshotMeta::from_value(meta_value)
-                .map_err(|e| stream_error_to_request(e, request))?;
-            let kb_value = params
-                .get("knowledge_base")
-                .ok_or_else(|| invalid_params("missing `knowledge_base`"))?;
-            let knowledge_base: KnowledgeBase = Deserialize::deserialize(kb_value)
-                .map_err(|e| invalid_params(&format!("`knowledge_base` is malformed: {e}")))?;
+            require_role(request, shared)?;
+            let (meta, knowledge_base) = protocol::snapshot_from_value(&request.params.to_value())?;
             let reply = summary_responder::<SyncSummary>(request, shared, completion);
             send_engine(
                 engine_tx,
@@ -1814,12 +1805,8 @@ fn invalid_params(message: &str) -> protocol::RequestError {
 }
 
 /// Rejects a request whose method the node's fabric role does not serve.
-fn require_role(
-    request: &Request,
-    shared: &Shared,
-    allowed: &[FabricRole],
-) -> Result<(), protocol::RequestError> {
-    if allowed.contains(&shared.role) {
+fn require_role(request: &Request, shared: &Shared) -> Result<(), protocol::RequestError> {
+    if shared.role.serves(&request.method) {
         Ok(())
     } else {
         Err(protocol::RequestError {
@@ -1832,22 +1819,6 @@ fn require_role(
             id: request.id.clone(),
             retry_after_ms: None,
         })
-    }
-}
-
-/// Maps a payload-parsing [`StreamError`] onto the wire error taxonomy:
-/// format-version mismatches keep their structured code so callers can
-/// distinguish an incompatible build from a merely malformed payload.
-fn stream_error_to_request(error: StreamError, request: &Request) -> protocol::RequestError {
-    let code = match error {
-        StreamError::FormatVersion { .. } => ErrorCode::FormatVersion,
-        _ => ErrorCode::InvalidParams,
-    };
-    protocol::RequestError {
-        code,
-        message: error.to_string(),
-        id: request.id.clone(),
-        retry_after_ms: None,
     }
 }
 

@@ -1,10 +1,13 @@
 //! A change counter that background threads can block on.
 //!
 //! The engine thread [bumps](ChangeWatch::bump) the counter after every
-//! command that can change counts or the published snapshot; the fabric's
-//! pusher and pump [wait past](ChangeWatch::wait_past) the generation they
-//! last acted on, so a change is propagated as soon as it happens instead
-//! of on the next timer tick.  Any number of bumps during one delivery
+//! command that can change counts or the published snapshot; the
+//! server's own fabric pump (an ingest node's or a coordinator's, see
+//! [`crate::fabric`]) [waits past](ChangeWatch::wait_past) the generation
+//! it last acted on, so a change is propagated as soon as it happens
+//! instead of on the next timer tick.  The pump is the only waiter: the
+//! watch is private to the server, which closes it on shutdown after the
+//! reactor has drained and before the engine stops.  Any number of bumps during one delivery
 //! fold into a single wake: the waiter then ships the latest state, which
 //! (cumulative shards, version-gated snapshots) subsumes every earlier one.
 //!

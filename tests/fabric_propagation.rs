@@ -6,16 +6,18 @@
 //! watch can.  The coordinator refits on every absorbed tuple (`every=1`),
 //! so each applied push publishes exactly one snapshot and the
 //! coordinator's refit counter counts the pushes it absorbed.
+//!
+//! Shutdown delivers too: a wire `shutdown` followed by `wait()` (the path
+//! `pka-fabric` runs on `SIGTERM`) makes an ingest node's final push
+//! through its still-running engine before the node exits.
 
 use pka::contingency::{Assignment, Schema};
 use pka::core::{Acquisition, AcquisitionConfig};
-use pka::fabric::{
-    Coordinator, CoordinatorConfig, IngestNode, IngestNodeConfig, Replica, ReplicaConfig,
-    RetryPolicy,
-};
 use pka::maxent::ConvergenceCriteria;
 use pka::serve::protocol::object;
-use pka::serve::{LineClient, QueryAnswer, ServeConfig};
+use pka::serve::{
+    FabricRole, LineClient, QueryAnswer, RetryPolicy, ServeConfig, Server, ServerHandle,
+};
 use pka::stream::{CountShard, RefreshPolicy, StreamConfig};
 use serde::Value;
 use std::sync::Arc;
@@ -50,29 +52,35 @@ fn tight_acquisition() -> AcquisitionConfig {
     )
 }
 
-fn start_coordinator(replica: &str, sync_interval: Duration) -> Coordinator {
+fn start_coordinator(replica: &str, sync_interval: Duration) -> ServerHandle {
     let stream = StreamConfig::new()
         .with_policy(RefreshPolicy::EveryNTuples(1))
         .with_acquisition(tight_acquisition());
-    let config = CoordinatorConfig::new()
-        .with_serve(ServeConfig::new().with_stream(stream))
-        .with_replica(replica)
-        .with_sync_interval(sync_interval)
+    let config = ServeConfig::new()
+        .with_stream(stream)
+        .with_role(FabricRole::Coordinator { replicas: vec![replica.to_string()], sync_interval })
         .with_retry(RetryPolicy::fast());
-    Coordinator::start(schema(), config).unwrap()
+    Server::start(schema(), config).unwrap()
 }
 
-fn start_node(coordinator: &Coordinator) -> IngestNode {
-    let config = IngestNodeConfig::new(coordinator.addr().to_string())
-        .with_serve(ServeConfig::new().with_node_name("node-a"))
-        .with_push_interval(TIMER)
-        .with_retry(RetryPolicy::fast());
-    IngestNode::start(schema(), config).unwrap()
+fn start_node(coordinator: &ServerHandle) -> ServerHandle {
+    start_node_pushing_to(&coordinator.addr().to_string(), "node-a")
 }
 
-fn start_replica(serve: ServeConfig) -> Replica {
-    Replica::start(schema(), ReplicaConfig::new().with_serve(serve).with_retry(RetryPolicy::fast()))
-        .unwrap()
+fn start_node_pushing_to(coordinator: &str, name: &str) -> ServerHandle {
+    let config = ServeConfig::new()
+        .with_node_name(name)
+        .with_role(FabricRole::IngestNode {
+            coordinator: coordinator.to_string(),
+            push_interval: TIMER,
+        })
+        .with_retry(RetryPolicy::fast());
+    Server::start(schema(), config).unwrap()
+}
+
+fn start_replica(serve: ServeConfig) -> ServerHandle {
+    let role = FabricRole::Replica { coordinator: None, pull_interval: Duration::from_millis(50) };
+    Server::start(schema(), serve.with_role(role).with_retry(RetryPolicy::fast())).unwrap()
 }
 
 /// A port nothing listens on right now, for a replica booted later.
@@ -100,7 +108,7 @@ fn answer_covering(reader: &mut LineClient, observations: u64, budget: Duration)
 }
 
 /// Merged totals are exact and the replica answers like a one-shot fit.
-fn assert_converged(coordinator: &Coordinator, reader: &mut LineClient, all_rows: &[Vec<usize>]) {
+fn assert_converged(coordinator: &ServerHandle, reader: &mut LineClient, all_rows: &[Vec<usize>]) {
     let total = all_rows.len() as u64;
     let stats = LineClient::connect(coordinator.addr()).unwrap().stats().unwrap();
     assert_eq!(stats.total_ingested, total);
@@ -213,5 +221,71 @@ fn a_replica_booted_after_the_first_publish_converges_on_re_offer() {
     assert!((answer.probability - expected.probability).abs() < 1e-12);
 
     replica.shutdown().unwrap();
+    coordinator.shutdown().unwrap();
+}
+
+#[test]
+fn a_wire_shutdown_delivers_the_final_push_and_exits_promptly() {
+    // The coordinator is not up yet: the push the ingest triggers fails,
+    // and the next retry is 30 s away, so only the final flush can
+    // deliver these rows.
+    let port = unused_port();
+    let node = start_node_pushing_to(&format!("127.0.0.1:{port}"), "early-node");
+    let acknowledged = rows(0, 3);
+    LineClient::connect(node.addr()).unwrap().ingest(&acknowledged).unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+
+    let stream = StreamConfig::new().with_policy(RefreshPolicy::Manual);
+    let coordinator = Server::start(
+        schema(),
+        ServeConfig::new()
+            .with_port(port)
+            .with_stream(stream)
+            .with_role(FabricRole::Coordinator { replicas: Vec::new(), sync_interval: TIMER }),
+    )
+    .unwrap();
+    let mut control = LineClient::connect(coordinator.addr()).unwrap();
+    assert_eq!(control.stats().unwrap().total_ingested, 0, "no timer may have pushed");
+
+    // The path `pka-fabric` runs on SIGTERM: a wire shutdown, then wait.
+    LineClient::connect(node.addr()).unwrap().shutdown().unwrap();
+    node.wait().unwrap();
+    assert_eq!(
+        control.stats().unwrap().total_ingested,
+        acknowledged.len() as u64,
+        "the final flush must deliver every acknowledged row"
+    );
+
+    // A node that already pushed everything, with the retry policy
+    // `pka-fabric` runs: several on-change pushes, then a prompt exit with
+    // nothing left to deliver (no peer call at all, so no retry either).
+    let config = ServeConfig::new().with_node_name("node-a").with_role(FabricRole::IngestNode {
+        coordinator: coordinator.addr().to_string(),
+        push_interval: TIMER,
+    });
+    let node = Server::start(schema(), config).unwrap();
+    let mut writer = LineClient::connect(node.addr()).unwrap();
+    let mut delivered = acknowledged.len() as u64;
+    for batch in 1..=4 {
+        let share = rows(batch * 10, 10);
+        writer.ingest(&share).unwrap();
+        delivered += share.len() as u64;
+        let started = Instant::now();
+        while control.stats().unwrap().total_ingested < delivered {
+            assert!(started.elapsed() < BUDGET, "batch {batch} was not pushed on change");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+    // Pushes reach the engine through its queue, not through the node's
+    // own listener: the only connections it accepted are this test's.
+    let connections = LineClient::connect(node.addr()).unwrap().server_stats().unwrap().connections;
+    assert_eq!(connections, 2, "the writer and the stats client, nothing else");
+
+    writer.shutdown().unwrap();
+    let started = Instant::now();
+    node.wait().unwrap();
+    let exit = started.elapsed();
+    assert!(exit < Duration::from_millis(200), "a node with nothing to push took {exit:?} to exit");
+    assert_eq!(control.stats().unwrap().total_ingested, delivered);
     coordinator.shutdown().unwrap();
 }
