@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pka_datagen::sampler::{sample_dataset, seeded_rng};
-use pka_serve::{FabricRole, LineClient, RetryPolicy, ServeConfig, Server, ServerHandle};
+use pka_serve::{FabricRole, LineClient, ServeConfig, Server, ServerHandle};
 use pka_stream::{CountShard, RefreshPolicy, StreamConfig};
 use std::time::{Duration, Instant};
 
@@ -26,11 +26,10 @@ fn survey_rows(n: usize, seed: u64) -> Vec<Vec<usize>> {
 const INTERVAL: Duration = Duration::from_millis(25);
 
 /// A push-fed replica.
-fn replica(retry: RetryPolicy) -> ServerHandle {
+fn replica() -> ServerHandle {
     let schema = pka_datagen::survey::ground_truth().shared_schema();
     let role = FabricRole::Replica { coordinator: None, pull_interval: Duration::from_millis(50) };
-    Server::start(schema, ServeConfig::new().with_role(role).with_retry(retry))
-        .expect("replica start")
+    Server::start(schema, ServeConfig::new().with_role(role)).expect("replica start")
 }
 
 /// A manually refreshed coordinator keeping `replicas` in sync.
@@ -38,7 +37,6 @@ fn manual_coordinator(replicas: Vec<String>) -> ServerHandle {
     let schema = pka_datagen::survey::ground_truth().shared_schema();
     let config = ServeConfig::new()
         .with_role(FabricRole::Coordinator { replicas, sync_interval: INTERVAL })
-        .with_retry(RetryPolicy::fast())
         .with_stream(StreamConfig::new().with_policy(RefreshPolicy::Manual));
     Server::start(schema, config).expect("coordinator start")
 }
@@ -93,7 +91,7 @@ fn shard_push_throughput(c: &mut Criterion) {
 /// being served by a push-fed replica (pump wake-up + snapshot-sync +
 /// replica apply).
 fn snapshot_propagation(c: &mut Criterion) {
-    let replica = replica(RetryPolicy::default());
+    let replica = replica();
     let coordinator = manual_coordinator(vec![replica.addr().to_string()]);
 
     let mut writer = LineClient::connect(coordinator.addr()).expect("writer connect");
@@ -130,8 +128,7 @@ fn snapshot_propagation(c: &mut Criterion) {
 /// Throughput is rows/s through the whole fabric.
 fn end_to_end_convergence(c: &mut Criterion) {
     let schema = pka_datagen::survey::ground_truth().shared_schema();
-    let retry = RetryPolicy::fast();
-    let replica = replica(retry.clone());
+    let replica = replica();
     let coordinator = manual_coordinator(vec![replica.addr().to_string()]);
     let nodes: Vec<ServerHandle> = ["bench-a", "bench-b"]
         .iter()
@@ -140,8 +137,7 @@ fn end_to_end_convergence(c: &mut Criterion) {
                 coordinator: coordinator.addr().to_string(),
                 push_interval: INTERVAL,
             };
-            let config =
-                ServeConfig::new().with_node_name(*name).with_role(role).with_retry(retry.clone());
+            let config = ServeConfig::new().with_node_name(*name).with_role(role);
             Server::start(schema.clone(), config).expect("ingest node start")
         })
         .collect();

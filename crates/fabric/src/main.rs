@@ -42,14 +42,19 @@
 //!
 //! Pushes and syncs are sent on change: an ingest node pushes as soon as
 //! a batch is journalled and acknowledged, and a coordinator offers each
-//! snapshot to its `--replica`s as soon as it publishes it.  The
-//! intervals only pace what cannot be event-driven (all default 25 ms
-//! except `--pull-interval-ms`, 50 ms):
+//! snapshot to its `--replica`s as soon as it publishes it, one pump
+//! thread per replica.  Each peer call is one attempt; the intervals only
+//! pace what cannot be event-driven (all default 25 ms except
+//! `--pull-interval-ms`, 50 ms), and each failed-call wait is jittered
+//! down by up to half:
 //!
-//! * `--push-interval-ms` — retry delay after a failed push;
-//! * `--sync-interval-ms` — re-offer delay to a replica whose last sync
-//!   failed;
-//! * `--pull-interval-ms` — poll period of a replica given `--coordinator`.
+//! * `--push-interval-ms` — first retry delay after a failed push,
+//!   doubling to 64× on consecutive failures;
+//! * `--sync-interval-ms` — first retry delay to a replica whose last sync
+//!   failed, doubling to 64× on consecutive failures;
+//! * `--pull-interval-ms` — poll period of a replica given `--coordinator`,
+//!   and its first retry delay after a failed poll, doubling to 64× on
+//!   consecutive failures.
 //!
 //! `probe --storm-requests N` hammers the coordinator with pipelined
 //! ingest before the functional steps, printing the shed/rate-limit

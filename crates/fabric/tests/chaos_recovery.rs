@@ -29,9 +29,7 @@ use pka_contingency::{Assignment, ContingencyTable, Schema};
 use pka_core::{Acquisition, AcquisitionConfig, KnowledgeBase};
 use pka_fabric::ChaosProxy;
 use pka_maxent::ConvergenceCriteria;
-use pka_serve::{
-    EngineStats, FabricRole, LineClient, RetryPolicy, ServeConfig, Server, ServerHandle,
-};
+use pka_serve::{EngineStats, FabricRole, LineClient, ServeConfig, Server, ServerHandle};
 use pka_stream::{CountShard, FsyncPolicy, RefreshPolicy, StreamConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -108,7 +106,6 @@ fn stats_of(addr: std::net::SocketAddr) -> EngineStats {
 #[test]
 fn ingest_node_crash_recovers_acknowledged_tuples_from_its_journal() {
     let timeout = Duration::from_secs(60);
-    let retry = RetryPolicy::fast();
     let journal = temp_path("ingest-journal");
     let crash_image = temp_path("ingest-crash-image");
 
@@ -123,8 +120,7 @@ fn ingest_node_crash_recovers_acknowledged_tuples_from_its_journal() {
             .with_role(FabricRole::Coordinator {
                 replicas: Vec::new(),
                 sync_interval: Duration::from_millis(25),
-            })
-            .with_retry(retry.clone()),
+            }),
     )
     .unwrap();
     // The node reaches the coordinator only through the proxy, so a
@@ -140,7 +136,6 @@ fn ingest_node_crash_recovers_acknowledged_tuples_from_its_journal() {
                 coordinator: proxy.addr().to_string(),
                 push_interval: Duration::from_millis(10),
             })
-            .with_retry(retry.clone())
     };
     let node = Server::start(schema(), node_config(&journal)).unwrap();
 
@@ -212,7 +207,6 @@ fn ingest_node_crash_recovers_acknowledged_tuples_from_its_journal() {
 #[test]
 fn coordinator_kill_restores_the_placement_map_from_a_checkpoint() {
     let timeout = Duration::from_secs(60);
-    let retry = RetryPolicy::fast();
     let checkpoint = temp_path("coord-checkpoint");
     let crash_image = temp_path("coord-crash-image");
 
@@ -220,7 +214,7 @@ fn coordinator_kill_restores_the_placement_map_from_a_checkpoint() {
         FabricRole::Replica { coordinator: None, pull_interval: Duration::from_millis(50) };
     let replicas: Vec<ServerHandle> = (0..2)
         .map(|_| {
-            let config = ServeConfig::new().with_role(push_fed.clone()).with_retry(retry.clone());
+            let config = ServeConfig::new().with_role(push_fed.clone());
             Server::start(schema(), config).unwrap()
         })
         .collect();
@@ -237,7 +231,6 @@ fn coordinator_kill_restores_the_placement_map_from_a_checkpoint() {
                 replicas: replicas.iter().map(|replica| replica.addr().to_string()).collect(),
                 sync_interval: Duration::from_millis(10),
             })
-            .with_retry(RetryPolicy::fast())
     };
     let coordinator = Server::start(schema(), coordinator_config(&checkpoint)).unwrap();
     // Ingest nodes dial the proxy, so the coordinator can "move" without
@@ -249,13 +242,10 @@ fn coordinator_kill_restores_the_placement_map_from_a_checkpoint() {
         .map(|name| {
             Server::start(
                 schema(),
-                ServeConfig::new()
-                    .with_node_name(*name)
-                    .with_role(FabricRole::IngestNode {
-                        coordinator: proxy.addr().to_string(),
-                        push_interval: Duration::from_millis(10),
-                    })
-                    .with_retry(retry.clone()),
+                ServeConfig::new().with_node_name(*name).with_role(FabricRole::IngestNode {
+                    coordinator: proxy.addr().to_string(),
+                    push_interval: Duration::from_millis(10),
+                }),
             )
             .unwrap()
         })
@@ -361,14 +351,6 @@ fn coordinator_kill_restores_the_placement_map_from_a_checkpoint() {
 #[test]
 fn flapping_partitions_duplication_and_corruption_still_converge_exactly() {
     let timeout = Duration::from_secs(60);
-    // More attempts than usual: the flapping link eats several.
-    let retry = RetryPolicy {
-        attempts: 8,
-        initial_backoff: Duration::from_millis(10),
-        max_backoff: Duration::from_millis(100),
-        deadline: Duration::from_secs(2),
-        jitter_percent: 50,
-    };
 
     let coordinator = Server::start(
         schema(),
@@ -381,20 +363,16 @@ fn flapping_partitions_duplication_and_corruption_still_converge_exactly() {
             .with_role(FabricRole::Coordinator {
                 replicas: Vec::new(),
                 sync_interval: Duration::from_millis(25),
-            })
-            .with_retry(retry.clone()),
+            }),
     )
     .unwrap();
     let proxy = ChaosProxy::start(coordinator.addr().to_string()).unwrap();
     let node = Server::start(
         schema(),
-        ServeConfig::new()
-            .with_node_name("node-a")
-            .with_role(FabricRole::IngestNode {
-                coordinator: proxy.addr().to_string(),
-                push_interval: Duration::from_millis(10),
-            })
-            .with_retry(retry),
+        ServeConfig::new().with_node_name("node-a").with_role(FabricRole::IngestNode {
+            coordinator: proxy.addr().to_string(),
+            push_interval: Duration::from_millis(10),
+        }),
     )
     .unwrap();
 

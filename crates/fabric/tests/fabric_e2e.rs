@@ -9,7 +9,7 @@
 use pka_contingency::{Assignment, ContingencyTable, Schema};
 use pka_core::{Acquisition, AcquisitionConfig, KnowledgeBase};
 use pka_maxent::ConvergenceCriteria;
-use pka_serve::{FabricRole, LineClient, RetryPolicy, ServeConfig, Server, ServerHandle};
+use pka_serve::{FabricRole, LineClient, ServeConfig, Server, ServerHandle};
 use pka_stream::{CountShard, RefreshPolicy, StreamConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,14 +51,13 @@ fn wait_for(timeout: Duration, what: &str, mut check: impl FnMut() -> bool) {
 #[test]
 fn fabric_converges_to_the_one_shot_acquisition() {
     let timeout = Duration::from_secs(60);
-    let retry = RetryPolicy::fast();
 
     // Replicas first (push-fed; no coordinator address needed).
     let push_fed =
         FabricRole::Replica { coordinator: None, pull_interval: Duration::from_millis(50) };
     let replicas: Vec<ServerHandle> = (0..2)
         .map(|_| {
-            let config = ServeConfig::new().with_role(push_fed.clone()).with_retry(retry.clone());
+            let config = ServeConfig::new().with_role(push_fed.clone());
             Server::start(schema(), config).unwrap()
         })
         .collect();
@@ -74,8 +73,7 @@ fn fabric_converges_to_the_one_shot_acquisition() {
         .with_role(FabricRole::Coordinator {
             replicas: replicas.iter().map(|replica| replica.addr().to_string()).collect(),
             sync_interval: Duration::from_millis(10),
-        })
-        .with_retry(retry.clone());
+        });
     let coordinator = Server::start(schema(), coordinator_config).unwrap();
 
     // Two push-capable ingest nodes.
@@ -84,13 +82,10 @@ fn fabric_converges_to_the_one_shot_acquisition() {
         .map(|name| {
             Server::start(
                 schema(),
-                ServeConfig::new()
-                    .with_node_name(*name)
-                    .with_role(FabricRole::IngestNode {
-                        coordinator: coordinator.addr().to_string(),
-                        push_interval: Duration::from_millis(10),
-                    })
-                    .with_retry(retry.clone()),
+                ServeConfig::new().with_node_name(*name).with_role(FabricRole::IngestNode {
+                    coordinator: coordinator.addr().to_string(),
+                    push_interval: Duration::from_millis(10),
+                }),
             )
             .unwrap()
         })

@@ -12,7 +12,7 @@ use pka_contingency::{Assignment, ContingencyTable, Schema};
 use pka_core::{Acquisition, AcquisitionConfig, KnowledgeBase};
 use pka_fabric::{ingest_storm, StormConfig};
 use pka_maxent::ConvergenceCriteria;
-use pka_serve::{FabricRole, LineClient, RetryPolicy, ServeConfig, Server, ServerHandle};
+use pka_serve::{FabricRole, LineClient, ServeConfig, Server, ServerHandle};
 use pka_stream::{CountShard, RefreshPolicy, StreamConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -49,7 +49,6 @@ fn wait_for(timeout: Duration, what: &str, mut check: impl FnMut() -> bool) {
 #[test]
 fn storm_is_shed_gracefully_and_the_fit_stays_exact() {
     let timeout = Duration::from_secs(60);
-    let retry = RetryPolicy::fast();
 
     // A coordinator with the smallest possible write queue: one command in
     // flight, everything else shed.  Manual refresh keeps publishes under
@@ -66,8 +65,7 @@ fn storm_is_shed_gracefully_and_the_fit_stays_exact() {
             .with_role(FabricRole::Coordinator {
                 replicas: Vec::new(),
                 sync_interval: Duration::from_millis(25),
-            })
-            .with_retry(retry.clone()),
+            }),
     )
     .unwrap();
 
@@ -78,13 +76,10 @@ fn storm_is_shed_gracefully_and_the_fit_stays_exact() {
         .map(|name| {
             Server::start(
                 schema(),
-                ServeConfig::new()
-                    .with_node_name(*name)
-                    .with_role(FabricRole::IngestNode {
-                        coordinator: coordinator.addr().to_string(),
-                        push_interval: Duration::from_millis(2),
-                    })
-                    .with_retry(retry.clone()),
+                ServeConfig::new().with_node_name(*name).with_role(FabricRole::IngestNode {
+                    coordinator: coordinator.addr().to_string(),
+                    push_interval: Duration::from_millis(2),
+                }),
             )
             .unwrap()
         })

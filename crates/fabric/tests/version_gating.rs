@@ -108,12 +108,10 @@ fn roles_refuse_the_methods_they_do_not_serve() {
     // Its coordinator is not up: the pushes fail, which is not under test.
     let ingest_node = Server::start(
         schema(),
-        ServeConfig::new()
-            .with_role(FabricRole::IngestNode {
-                coordinator: "127.0.0.1:1".to_string(),
-                push_interval: Duration::from_millis(25),
-            })
-            .with_retry(pka_serve::RetryPolicy { attempts: 1, ..pka_serve::RetryPolicy::fast() }),
+        ServeConfig::new().with_role(FabricRole::IngestNode {
+            coordinator: "127.0.0.1:1".to_string(),
+            push_interval: Duration::from_millis(25),
+        }),
     )
     .unwrap();
     let mut client = LineClient::connect(ingest_node.addr()).unwrap();

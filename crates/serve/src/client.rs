@@ -40,8 +40,8 @@ impl Default for ClientConfig {
 }
 
 impl ClientConfig {
-    /// A uniform deadline on connect, read and write — what the fabric's
-    /// retry wrapper uses.
+    /// A uniform deadline on connect, read and write — what a fabric
+    /// pump's peer calls use.
     pub fn with_deadline(deadline: Duration) -> Self {
         Self {
             connect_timeout: Some(deadline),
@@ -484,15 +484,24 @@ impl LineClient {
     /// snapshot, if any — the replica catch-up path.  The returned
     /// knowledge base has its runtime indexes rebuilt and is ready to use.
     pub fn snapshot_pull(&mut self) -> Result<Option<(SnapshotMeta, KnowledgeBase)>, ServeError> {
+        let mut pulled = self.snapshot_pull_unindexed()?;
+        if let Some((_, knowledge_base)) = &mut pulled {
+            knowledge_base.rebuild_indexes();
+        }
+        Ok(pulled)
+    }
+
+    /// [`LineClient::snapshot_pull`] without the index build, for a caller
+    /// that hands the knowledge base to an engine (which builds them).
+    pub(crate) fn snapshot_pull_unindexed(
+        &mut self,
+    ) -> Result<Option<(SnapshotMeta, KnowledgeBase)>, ServeError> {
         let result = self.call("snapshot-pull", object([]))?;
         match result.get("snapshot") {
             None | Some(Value::Null) => Ok(None),
-            Some(snapshot) => {
-                let (meta, mut knowledge_base) = protocol::snapshot_from_value(snapshot)
-                    .map_err(|e| ServeError::BadResponse { reason: e.message })?;
-                knowledge_base.rebuild_indexes();
-                Ok(Some((meta, knowledge_base)))
-            }
+            Some(snapshot) => protocol::snapshot_from_value(snapshot)
+                .map(Some)
+                .map_err(|e| ServeError::BadResponse { reason: e.message }),
         }
     }
 

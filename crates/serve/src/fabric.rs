@@ -1,9 +1,9 @@
-//! A server's place in a `pka-fabric` deployment, and the one pump
-//! thread each fabric role runs inside its server.
+//! A server's place in a `pka-fabric` deployment, and the pump threads
+//! each fabric role runs inside its server, one per peer.
 //!
 //! A fabric node is an ordinary [`crate::Server`] whose [`FabricRole`]
 //! carries its peers.  The role gates which write methods the node serves,
-//! and [`crate::Server::start`] spawns the role's pump next to the engine
+//! and [`crate::Server::start`] spawns the role's pumps next to the engine
 //! thread:
 //!
 //! * an **ingest node** pushes its *cumulative* local
@@ -14,11 +14,11 @@
 //!   pathology with one rule: the coordinator keeps the highest-sequence
 //!   shard per source, so a lost push is repaired by the next one, and a
 //!   duplicated or reordered push is discarded;
-//! * a **coordinator** offers every newly published snapshot to each of
-//!   its replicas via `snapshot-sync`, tracking only the highest version
-//!   each replica has acknowledged.  Replicas gate on the version, so a
-//!   re-offer after a lost acknowledgement is a no-op: at-least-once
-//!   delivery is safe;
+//! * a **coordinator** runs one pump per replica, which offers every newly
+//!   published snapshot via `snapshot-sync`, tracking only the highest
+//!   version the replica has acknowledged.  Replicas gate on the version,
+//!   so a re-offer after a lost acknowledgement is a no-op: at-least-once
+//!   delivery is safe.  A dead or hung replica stalls only its own pump;
 //! * a **replica** given a coordinator polls its `snapshot-version` and
 //!   pulls any newer snapshot with `snapshot-pull`.
 //!
@@ -26,21 +26,28 @@
 //! engine queue: the ingest node reads its shard with an `ExportShard`
 //! command and the replica applies a pulled snapshot with a
 //! `SyncSnapshot` command, so a pulled snapshot passes the same version
-//! gate and validation a pushed one does.  Only peers are dialled, each
-//! through a retrying [`FabricClient`].
+//! gate and validation a pushed one does.  Only peers are dialled.
+//!
+//! Each peer call is one attempt over a connection kept across calls.
+//! Retrying is the pump's own loop: after a failed round it waits the
+//! role's interval, doubled per consecutive failure up to 64× (or a
+//! `server-overloaded` refusal's `retry_after_ms` hint, under the same
+//! cap), jittered down by up to half.  That wait ignores changes and ends
+//! at once on shutdown.
 //!
 //! The ingest node and the coordinator block on the engine's change
 //! watch and propagate on change; their intervals only pace retries.  On
 //! shutdown the server closes the watch after the reactor has drained and
 //! before the engine stops, so an ingest node's last push (the final
-//! flush) still reads its shard from the live engine.
+//! flush, one attempt) still reads its shard from the live engine.
 
 use crate::queue::{CommandClass, EngineSender};
-use crate::retry::{FabricClient, RetryPolicy};
 use crate::server::{EngineCommand, Responder};
 use crate::watch::ChangeWatch;
-use crate::ServeError;
+use crate::{ClientConfig, LineClient, ServeError};
 use pka_stream::SnapshotHandle;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -62,9 +69,10 @@ pub enum FabricRole {
         /// Replicas to keep in sync via `snapshot-sync` (none: the
         /// coordinator runs no pump).
         replicas: Vec<String>,
-        /// How long the pump waits before re-offering the current
-        /// snapshot to a replica whose last sync failed.  Fresh snapshots
-        /// are offered on publish, not on this timer.
+        /// First wait before re-offering the current snapshot to a
+        /// replica whose last sync failed, doubling to 64× on consecutive
+        /// failures.  Fresh snapshots are offered on publish, not on this
+        /// timer.
         sync_interval: Duration,
     },
     /// Tabulates local `ingest` (its refresh policy is forced to manual)
@@ -73,8 +81,9 @@ pub enum FabricRole {
     IngestNode {
         /// The coordinator to push shards to.
         coordinator: String,
-        /// How long the pump waits before retrying a failed push.  An
-        /// acknowledged ingest is pushed at once, not on this timer.
+        /// First wait before retrying a failed push, doubling to 64× on
+        /// consecutive failures.  An acknowledged ingest is pushed at
+        /// once, not on this timer.
         push_interval: Duration,
     },
     /// Serves reads from snapshots received via `snapshot-sync` or pulled
@@ -84,7 +93,8 @@ pub enum FabricRole {
         /// Coordinator to poll for catch-up; `None` makes the replica
         /// purely push-fed (and runs no pump).
         coordinator: Option<String>,
-        /// Poll period of the catch-up pump.
+        /// Poll period of the catch-up pump, and its first wait after a
+        /// failed poll, doubling to 64× on consecutive failures.
         pull_interval: Duration,
     },
 }
@@ -130,81 +140,199 @@ impl FabricRole {
 }
 
 /// What a pump needs from the server it runs in.
+#[derive(Clone)]
 pub(crate) struct PumpContext {
     /// The node's published snapshots.
     pub snapshots: SnapshotHandle,
-    /// The node's engine queue; the pump holds a sender, so the engine
-    /// outlives the pump's final flush.
+    /// The node's engine queue; each pump holds a sender, so the engine
+    /// outlives an ingest node's final flush.
     pub engine: EngineSender<EngineCommand>,
-    /// The engine's change watch; closing it stops the pump.
+    /// The engine's change watch; closing it stops the pumps.
     pub changes: Arc<ChangeWatch>,
     /// The source name an ingest node pushes under.
     pub node_name: String,
-    /// Retry policy for every peer conversation.
-    pub retry: RetryPolicy,
 }
 
-/// Spawns `role`'s pump thread, if the role runs one.
-pub(crate) fn spawn_pump(
+/// Spawns `role`'s pumps, one thread per peer, into `pumps`; a spawn
+/// failure leaves the threads already spawned in `pumps` to be joined.
+pub(crate) fn spawn_pumps(
     role: &FabricRole,
     context: PumpContext,
-) -> std::io::Result<Option<JoinHandle<()>>> {
-    let pump: Box<dyn FnOnce() + Send> = match role.clone() {
-        FabricRole::Standalone | FabricRole::Replica { coordinator: None, .. } => return Ok(None),
-        FabricRole::Coordinator { replicas, .. } if replicas.is_empty() => return Ok(None),
-        FabricRole::Coordinator { replicas, sync_interval } => {
-            Box::new(move || offer_snapshots(&context, replicas, sync_interval))
-        }
+    pumps: &mut Vec<JoinHandle<()>>,
+) -> std::io::Result<()> {
+    type Pump = Box<dyn FnOnce() + Send>;
+    let loops: Vec<Pump> = match role.clone() {
+        FabricRole::Standalone | FabricRole::Replica { coordinator: None, .. } => Vec::new(),
+        FabricRole::Coordinator { replicas, sync_interval } => replicas
+            .into_iter()
+            .map(|addr| {
+                let (context, replica) = (context.clone(), Peer::new(addr, sync_interval));
+                Box::new(move || offer_snapshots(&context, replica)) as Pump
+            })
+            .collect(),
         FabricRole::IngestNode { coordinator, push_interval } => {
-            Box::new(move || push_shards(&context, coordinator, push_interval))
+            let coordinator = Peer::new(coordinator, push_interval);
+            vec![Box::new(move || push_shards(&context, coordinator))]
         }
         FabricRole::Replica { coordinator: Some(coordinator), pull_interval } => {
-            Box::new(move || pull_snapshots(&context, coordinator, pull_interval))
+            let coordinator = Peer::new(coordinator, pull_interval);
+            vec![Box::new(move || pull_snapshots(&context, coordinator))]
         }
     };
     let name = format!("pka-{}-pump", role.as_str());
-    std::thread::Builder::new().name(name).spawn(pump).map(Some)
+    for pump in loops {
+        pumps.push(std::thread::Builder::new().name(name.clone()).spawn(pump)?);
+    }
+    Ok(())
 }
 
-/// The coordinator's pump: offer each published snapshot to every replica
-/// that has not acknowledged it, on publish and then every `interval`
-/// while a replica is behind.
-fn offer_snapshots(context: &PumpContext, replicas: Vec<String>, interval: Duration) {
-    // One highest-acknowledged version per replica; `None` until the
-    // replica has acknowledged anything.
-    let mut replicas: Vec<(FabricClient, Option<u64>)> = replicas
-        .into_iter()
-        .map(|addr| (FabricClient::new(addr, context.retry.clone()), None))
-        .collect();
+/// Socket deadline (connect, read and write) of one peer call.
+const PEER_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Cap on a pump's backoff, as a multiple of its role's interval.
+const MAX_BACKOFF_FACTOR: u32 = 64;
+
+/// One peer of a pump: a connection opened on first use and kept across
+/// calls, and the backoff the pump waits out after a failed round.
+struct Peer {
+    addr: String,
+    client: Option<LineClient>,
+    /// The role's interval: the first backoff step.
+    interval: Duration,
+    /// Consecutive failed rounds.
+    failures: u32,
+    /// Per-peer jitter stream (splitmix64), seeded from the OS-keyed std
+    /// hasher so pumps that failed at the same instant (every pusher,
+    /// after a coordinator outage) still draw different waits.
+    jitter_state: u64,
+}
+
+impl Peer {
+    fn new(addr: String, interval: Duration) -> Self {
+        let jitter_state = RandomState::new().hash_one(&addr);
+        Self { addr, client: None, interval, failures: 0, jitter_state }
+    }
+
+    /// Makes one attempt of `op`, connecting first if there is no
+    /// connection.  A transport error drops the connection, whose state is
+    /// then unknown; a structured refusal keeps it, since the peer
+    /// answered.
+    fn call<T>(
+        &mut self,
+        op: impl FnOnce(&mut LineClient) -> Result<T, ServeError>,
+    ) -> Result<T, ServeError> {
+        let client = match self.client.as_mut() {
+            Some(client) => client,
+            None => {
+                let config = ClientConfig::with_deadline(PEER_DEADLINE);
+                self.client.insert(LineClient::connect_with(&self.addr, &config)?)
+            }
+        };
+        let outcome = op(client);
+        if matches!(outcome, Err(ref e) if !matches!(e, ServeError::Remote { .. })) {
+            self.client = None;
+        }
+        outcome
+    }
+
+    /// Accounts for a round of calls: `None` after a success, else how
+    /// long to wait before the next round — the interval doubled per
+    /// consecutive failure, or a `server-overloaded` refusal's
+    /// `retry_after_ms` hint in its place, capped at 64× the interval and
+    /// jittered down by up to half, so pumps that failed together do not
+    /// retry in lockstep.
+    fn backoff(&mut self, round: &Result<(), ServeError>) -> Option<Duration> {
+        let Err(error) = round else {
+            self.failures = 0;
+            return None;
+        };
+        let hint = match error {
+            ServeError::Remote { code, retry_after_ms: Some(ms), .. }
+                if code == "server-overloaded" =>
+            {
+                Some(Duration::from_millis((*ms).max(1)))
+            }
+            _ => None,
+        };
+        let full = full_backoff(self.interval, self.failures, hint);
+        self.failures = self.failures.saturating_add(1);
+        Some(jitter(full, self.next_draw()))
+    }
+
+    /// The next uniform draw in `[0, 1)` of this peer's jitter stream.
+    fn next_draw(&mut self) -> f64 {
+        self.jitter_state = self.jitter_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.jitter_state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// The un-jittered wait after `failures` earlier consecutive failures:
+/// `interval` doubled per failure, or `hint` in its place, capped at
+/// 64× `interval`.
+fn full_backoff(interval: Duration, failures: u32, hint: Option<Duration>) -> Duration {
+    let doubled = || interval.saturating_mul(1u32.checked_shl(failures).unwrap_or(u32::MAX));
+    hint.unwrap_or_else(doubled).min(interval.saturating_mul(MAX_BACKOFF_FACTOR))
+}
+
+/// `full` scaled by `1 − draw/2`, in `(full/2, full]` for a uniform
+/// `draw` in `[0, 1)`.
+fn jitter(full: Duration, draw: f64) -> Duration {
+    full.mul_f64(1.0 - draw / 2.0)
+}
+
+/// Waits for a pump's next round: past `seen` (or the interval) after a
+/// successful round, or out the `backoff` after a failed one, which a
+/// change does not cut short and shutdown does.  Returns the generation
+/// then current, `None` once the watch is closed.
+fn next_round(
+    changes: &ChangeWatch,
+    seen: u64,
+    interval: Duration,
+    backoff: Option<Duration>,
+) -> Option<u64> {
+    match backoff {
+        None => changes.wait_past(seen, interval),
+        Some(wait) => {
+            changes.wait_closed(wait);
+            changes.generation()
+        }
+    }
+}
+
+/// A coordinator's pump for one replica: offer each published snapshot
+/// the replica has not acknowledged, on publish and then every `interval`
+/// while the replica is behind.
+fn offer_snapshots(context: &PumpContext, mut replica: Peer) {
+    // The highest version the replica has acknowledged; `None` until it
+    // has acknowledged anything.
+    let mut acked: Option<u64> = None;
     // The generation is read before the snapshot is loaded, so a publish
-    // that lands mid-pass is caught by the next wait.
+    // that lands mid-offer is caught by the next wait.
     let mut generation = context.changes.generation();
     while let Some(seen) = generation {
+        let mut round = Ok(());
         if let Some(snapshot) = context.snapshots.load() {
             let meta = snapshot.meta();
-            for (peer, acked) in replicas.iter_mut() {
-                if acked.is_none_or(|v| v < meta.version) {
-                    let synced = peer.call(|c| c.snapshot_sync(&meta, snapshot.knowledge_base()));
-                    if let Ok(summary) = synced {
-                        // A stale answer still reports the replica's
-                        // current version, which is exactly the ack we
-                        // need.
-                        *acked = Some(acked.unwrap_or(0).max(summary.version));
-                    }
-                }
+            if acked.is_none_or(|v| v < meta.version) {
+                round = replica.call(|c| c.snapshot_sync(&meta, snapshot.knowledge_base())).map(
+                    // A stale answer still reports the replica's current
+                    // version, which is exactly the ack we need.
+                    |summary| acked = Some(acked.unwrap_or(0).max(summary.version)),
+                );
             }
         }
-        // Wake on the next publish; otherwise re-offer to a behind replica
-        // once the interval is up.
-        generation = context.changes.wait_past(seen, interval);
+        let backoff = replica.backoff(&round);
+        generation = next_round(&context.changes, seen, replica.interval, backoff);
     }
 }
 
 /// The ingest node's pump: push the cumulative shard whenever a batch is
-/// acknowledged, retry a failed push every `interval`, and make one last
-/// attempt (the final flush) once the watch closes.
-fn push_shards(context: &PumpContext, coordinator: String, interval: Duration) {
-    let mut coordinator = FabricClient::new(coordinator, context.retry.clone());
+/// acknowledged, back off after a failed push, and make one last attempt
+/// (the final flush) once the watch closes.
+fn push_shards(context: &PumpContext, mut coordinator: Peer) {
     let mut pushed_seq = 0u64;
     // `delivered` is the newest generation whose state reached the
     // coordinator; it starts unset so a journal-recovered shard is pushed
@@ -213,64 +341,67 @@ fn push_shards(context: &PumpContext, coordinator: String, interval: Duration) {
     let mut delivered = None;
     let mut generation = context.changes.generation();
     loop {
+        let mut round = Ok(());
         // A closed watch (`None`) always gets one last attempt: the final
         // flush, so tuples acknowledged right before shutdown still reach
         // the coordinator.
-        if (generation.is_none() || generation != delivered)
-            && push_latest(context, &mut coordinator, &mut pushed_seq)
-        {
-            delivered = generation;
+        if generation.is_none() || generation != delivered {
+            round = push_latest(context, &mut coordinator, &mut pushed_seq);
+            if round.is_ok() {
+                delivered = generation;
+            }
         }
         let Some(seen) = generation else { break };
-        // Wake on the next acknowledged batch; after a failed push, the
-        // timeout is the retry.
-        generation = context.changes.wait_past(seen, interval);
+        let backoff = coordinator.backoff(&round);
+        generation = next_round(&context.changes, seen, coordinator.interval, backoff);
     }
 }
 
 /// Exports the node's cumulative shard and pushes it unless the
-/// coordinator already holds its seq; true once the coordinator holds
+/// coordinator already holds its seq; `Ok` once the coordinator holds
 /// everything the export returned.
 fn push_latest(
     context: &PumpContext,
-    coordinator: &mut FabricClient,
+    coordinator: &mut Peer,
     pushed_seq: &mut u64,
-) -> bool {
+) -> Result<(), ServeError> {
     let Some(Ok((shard, seq))) = ask(&context.engine, |reply| EngineCommand::ExportShard { reply })
     else {
-        return false;
+        return Err(ServeError::EngineDown);
     };
     if seq > *pushed_seq {
-        if coordinator.call(|c| c.shard_push(&context.node_name, seq, &shard)).is_err() {
-            return false;
-        }
+        coordinator.call(|c| c.shard_push(&context.node_name, seq, &shard))?;
         *pushed_seq = seq;
     }
-    true
+    Ok(())
 }
 
 /// The replica's catch-up pump: every `interval`, pull the coordinator's
-/// snapshot if it is newer than the local one and apply it through the
-/// engine.  The coordinator is another process, so this is a poll; the
+/// snapshot if it is newer than the local one, backing off after a failed
+/// round.  The coordinator is another process, so this is a poll; the
 /// watch is waited on only to be stopped (local syncs are not news).
-fn pull_snapshots(context: &PumpContext, coordinator: String, interval: Duration) {
-    let mut coordinator = FabricClient::new(coordinator, context.retry.clone());
+fn pull_snapshots(context: &PumpContext, mut coordinator: Peer) {
     while context.changes.generation().is_some() {
-        let local = context.snapshots.version().unwrap_or(0);
-        if let Ok(Some(version)) = coordinator.call(|c| c.snapshot_version()) {
-            if version > local {
-                if let Ok(Some((meta, knowledge_base))) = coordinator.call(|c| c.snapshot_pull()) {
-                    let knowledge_base = Box::new(knowledge_base);
-                    ask(&context.engine, |reply| EngineCommand::SyncSnapshot {
-                        meta,
-                        knowledge_base,
-                        reply,
-                    });
-                }
-            }
-        }
-        context.changes.wait_closed(interval);
+        let round = pull_newer(context, &mut coordinator);
+        context.changes.wait_closed(coordinator.backoff(&round).unwrap_or(coordinator.interval));
     }
+}
+
+/// Pulls the coordinator's snapshot if it is newer than the local one and
+/// applies it through the engine, so it passes the same version gate and
+/// validation a pushed one does.
+fn pull_newer(context: &PumpContext, coordinator: &mut Peer) -> Result<(), ServeError> {
+    let local = context.snapshots.version().unwrap_or(0);
+    if coordinator.call(|c| c.snapshot_version())?.is_none_or(|version| version <= local) {
+        return Ok(());
+    }
+    // Decoded without building the indexes: the engine builds them as it
+    // applies the snapshot.
+    if let Some((meta, knowledge_base)) = coordinator.call(|c| c.snapshot_pull_unindexed())? {
+        let knowledge_base = Box::new(knowledge_base);
+        ask(&context.engine, |reply| EngineCommand::SyncSnapshot { meta, knowledge_base, reply });
+    }
+    Ok(())
 }
 
 /// Sends the command `build` makes around a reply slot through the engine
@@ -291,26 +422,175 @@ fn ask<T: Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LineClient, ServeConfig, Server};
+    use crate::{BucketSpec, RateLimitConfig, ServeConfig, Server};
     use pka_contingency::Schema;
     use pka_stream::{RefreshPolicy, StreamConfig};
+    use rand::{Rng, SeedableRng, StdRng};
     use std::time::Instant;
+
+    const MS: Duration = Duration::from_millis(1);
+
+    fn overloaded(retry_after_ms: u64) -> ServeError {
+        ServeError::Remote {
+            code: "server-overloaded".to_string(),
+            message: "shed".to_string(),
+            retry_after_ms: Some(retry_after_ms),
+        }
+    }
+
+    #[test]
+    fn backoff_doubles_and_caps_at_64_intervals() {
+        let interval = 25 * MS;
+        let steps: Vec<Duration> = (0..9).map(|n| full_backoff(interval, n, None)).collect();
+        let expected = [25, 50, 100, 200, 400, 800, 1600, 1600, 1600];
+        assert_eq!(steps, expected.map(|ms| ms * MS));
+        assert_eq!(full_backoff(interval, 40, None), 1600 * MS, "a long outage stays capped");
+        assert_eq!(full_backoff(Duration::MAX, 3, None), Duration::MAX, "saturates, never panics");
+    }
+
+    #[test]
+    fn jittered_backoff_stays_in_band_and_decorrelates() {
+        let full = full_backoff(25 * MS, 2, None);
+        let mut rng = StdRng::seed_from_u64(7);
+        let draws: Vec<Duration> = (0..64).map(|_| jitter(full, rng.random())).collect();
+        for d in &draws {
+            assert!(*d <= full, "jitter may only shorten the wait");
+            assert!(d.as_secs_f64() >= full.as_secs_f64() * 0.5 - 1e-9);
+        }
+        assert!(
+            draws.iter().collect::<std::collections::BTreeSet<_>>().len() > 1,
+            "jitter must actually vary"
+        );
+        assert_eq!(jitter(full, 0.0), full);
+    }
+
+    #[test]
+    fn peers_draw_independent_jitter_streams() {
+        let mut a = Peer::new("127.0.0.1:1".to_string(), 25 * MS);
+        let mut b = Peer::new("127.0.0.1:1".to_string(), 25 * MS);
+        let (da, db): (Vec<f64>, Vec<f64>) =
+            (0..16).map(|_| (a.next_draw(), b.next_draw())).unzip();
+        assert!(da.iter().chain(&db).all(|d| (0.0..1.0).contains(d)));
+        assert_ne!(da, db, "two pumps of one peer must not retry in lockstep");
+    }
+
+    #[test]
+    fn an_overload_hint_replaces_the_step_capped_and_jittered() {
+        let interval = 10 * MS;
+        assert_eq!(full_backoff(interval, 0, Some(80 * MS)), 80 * MS);
+        assert_eq!(full_backoff(interval, 5, Some(80 * MS)), 80 * MS, "not the doubled 320 ms");
+        assert_eq!(full_backoff(interval, 0, Some(10_000 * MS)), 640 * MS, "capped at 64×");
+
+        let mut peer = Peer::new("127.0.0.1:1".to_string(), interval);
+        for _ in 0..32 {
+            let waited = peer.backoff(&Err(overloaded(80))).unwrap();
+            assert!(waited <= 80 * MS && waited >= 40 * MS, "hint wait {waited:?}");
+        }
+        // A success resets the schedule; plain failures then double it.
+        assert_eq!(peer.backoff(&Ok(())), None);
+        for full in [10, 20, 40] {
+            let waited = peer.backoff(&Err(ServeError::EngineDown)).unwrap();
+            assert!(waited <= full * MS && waited >= full * MS / 2, "step {waited:?}");
+        }
+    }
+
+    #[test]
+    fn overload_refusals_are_retried_after_the_hint_and_land_every_row() {
+        let schema = Schema::uniform(&[2, 2]).unwrap().into_shared();
+        // One banked request per connection, refilling every 200 ms: a push
+        // right after another is refused with a `server-overloaded` hint.
+        let coordinator = Server::start(
+            Arc::clone(&schema),
+            ServeConfig::new()
+                .with_stream(StreamConfig::new().with_policy(RefreshPolicy::Manual))
+                .with_rate_limit(RateLimitConfig {
+                    per_conn: Some(BucketSpec { rate_per_sec: 5.0, burst: 1.0 }),
+                    ..Default::default()
+                })
+                .with_role(FabricRole::Coordinator {
+                    replicas: Vec::new(),
+                    sync_interval: 25 * MS,
+                }),
+        )
+        .unwrap();
+        // A minute-long interval: only the hint can pace the retries.
+        let role = FabricRole::IngestNode {
+            coordinator: coordinator.addr().to_string(),
+            push_interval: Duration::from_secs(60),
+        };
+        let node = Server::start(schema, ServeConfig::new().with_role(role)).unwrap();
+        let mut writer = LineClient::connect(node.addr()).unwrap();
+        let mut total = 0;
+        for batch in 0..5 {
+            let rows = vec![vec![batch % 2, 1], vec![1, batch % 2]];
+            writer.ingest(&rows).unwrap();
+            total += rows.len() as u64;
+        }
+
+        // The limit binds this test's requests too: one per connection.
+        let control = || LineClient::connect(coordinator.addr()).unwrap();
+        let started = Instant::now();
+        while control().stats().unwrap().total_ingested < total {
+            assert!(started.elapsed() < Duration::from_secs(10), "rows never landed");
+            std::thread::sleep(2 * MS);
+        }
+        assert_eq!(control().stats().unwrap().total_ingested, total);
+        assert!(control().server_stats().unwrap().rate_limited > 0, "no push was ever refused");
+        node.shutdown().unwrap();
+        coordinator.shutdown().unwrap();
+    }
+
+    #[test]
+    fn one_call_is_one_attempt_and_only_transport_errors_drop_the_connection() {
+        // Nothing listens on port 1: the connect is refused at once.
+        let mut dead = Peer::new("127.0.0.1:1".to_string(), 25 * MS);
+        match dead.call(|c| c.ping()) {
+            Err(ServeError::Io(e)) => assert!(!e.to_string().is_empty()),
+            other => panic!("expected the refused connect, got {other:?}"),
+        }
+
+        // A listener that never accepts still completes connects (the
+        // kernel's backlog does), so the call reaches `op` exactly once and
+        // returns its error; the transport error drops the connection.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut hung = Peer::new(listener.local_addr().unwrap().to_string(), 25 * MS);
+        let mut tries = 0;
+        let outcome: Result<(), ServeError> = hung.call(|_| {
+            tries += 1;
+            Err(ServeError::Io(std::io::Error::other(format!("attempt {tries}"))))
+        });
+        match outcome {
+            Err(ServeError::Io(e)) => assert_eq!(e.to_string(), "attempt 1"),
+            other => panic!("expected the one attempt's error, got {other:?}"),
+        }
+        assert_eq!(tries, 1);
+        assert!(hung.client.is_none());
+
+        // A structured refusal is the peer's answer: the connection stays.
+        let schema = Schema::uniform(&[2, 2]).unwrap().into_shared();
+        let server = Server::start(schema, ServeConfig::new()).unwrap();
+        let mut live = Peer::new(server.addr().to_string(), 25 * MS);
+        match live.call(|c| c.call("no-such-method", crate::protocol::object([]))) {
+            Err(ServeError::Remote { code, .. }) => assert_eq!(code, "unknown-method"),
+            other => panic!("expected the refusal, got {other:?}"),
+        }
+        assert!(live.client.is_some());
+        assert!(live.call(|c| c.ping()).unwrap());
+        server.shutdown().unwrap();
+    }
 
     #[test]
     fn shutdown_is_prompt_under_a_long_push_interval_and_still_flushes() {
         let schema = Schema::uniform(&[2, 2]).unwrap().into_shared();
         // The coordinator is not up yet, so the push an ingest triggers
-        // fails and the next retry is a minute away: only the final flush
-        // can deliver the rows.
+        // fails and the next retry is at least half a minute away: only
+        // the final flush can deliver the rows.
         let port = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().port();
         let role = FabricRole::IngestNode {
             coordinator: format!("127.0.0.1:{port}"),
             push_interval: Duration::from_secs(60),
         };
-        let config = ServeConfig::new()
-            .with_role(role)
-            .with_retry(RetryPolicy { attempts: 1, ..RetryPolicy::fast() });
-        let node = Server::start(Arc::clone(&schema), config).unwrap();
+        let node = Server::start(Arc::clone(&schema), ServeConfig::new().with_role(role)).unwrap();
         let rows = vec![vec![0, 1], vec![1, 0], vec![1, 1]];
         LineClient::connect(node.addr()).unwrap().ingest(&rows).unwrap();
         std::thread::sleep(Duration::from_millis(300));
@@ -318,10 +598,7 @@ mod tests {
         let serve = ServeConfig::new()
             .with_port(port)
             .with_stream(StreamConfig::new().with_policy(RefreshPolicy::Manual))
-            .with_role(FabricRole::Coordinator {
-                replicas: Vec::new(),
-                sync_interval: Duration::from_millis(25),
-            });
+            .with_role(FabricRole::Coordinator { replicas: Vec::new(), sync_interval: 25 * MS });
         let coordinator = Server::start(schema, serve).unwrap();
         let mut control = LineClient::connect(coordinator.addr()).unwrap();
         assert_eq!(control.stats().unwrap().total_ingested, 0, "no timer may have pushed");

@@ -32,9 +32,10 @@
 //!    see `docs/net.md`.
 //!
 //! A [`FabricRole`] makes a server one node of a `pka-fabric`
-//! deployment: the role carries the node's peers, and the server runs the
-//! role's pump thread itself (pushing shards, offering or pulling
-//! snapshots) through retrying [`FabricClient`]s.
+//! deployment: the role carries the node's peers, and the server runs one
+//! pump thread per peer itself (pushing shards, offering or pulling
+//! snapshots).  A pump makes one attempt per peer call; its own wait,
+//! backing off from the role's interval, is the retry.
 //!
 //! [`cli`] is the command-line surface `pka-serve` and every `pka-fabric`
 //! role share: one flag parser, one schema builder, one signal drain.
@@ -63,7 +64,6 @@ pub mod error;
 mod fabric;
 pub mod protocol;
 pub mod queue;
-pub mod retry;
 pub mod server;
 mod watch;
 
@@ -72,7 +72,6 @@ pub use client::{ClientConfig, LineClient, NamedQuery, QueryAnswer, ShardPullAns
 pub use error::ServeError;
 pub use fabric::FabricRole;
 pub use protocol::{ErrorCode, Request, DEFAULT_MAX_LINE_BYTES};
-pub use retry::{FabricClient, RetryPolicy};
 pub use server::{
     DurabilityConfig, EngineStats, IngestSummary, RefitPhaseMicros, RefitSummary, ServeConfig,
     Server, ServerHandle, ServerStats, ShardPushSummary, ShutdownTrigger, SourceStat, SyncSummary,

@@ -7,7 +7,7 @@
 //!   runs on `pka-net`'s event-loop shards: an acceptor thread hands
 //!   nonblocking sockets round-robin to `loop_shards` epoll loops, so
 //!   the server's thread count is `loop_shards + 2` (loops + acceptor +
-//!   engine; a [`FabricRole`] adds its one pump)
+//!   engine; a [`FabricRole`] adds one pump per peer)
 //!   whether ten or ten thousand connections are open.
 //! * **Readers never contend.**  Every loop shard answers `query` /
 //!   `explain` / `snapshot-version` requests from
@@ -44,7 +44,7 @@
 //! * **Shutdown is cooperative and leak-free.**  The reactor and the
 //!   engine share one shutdown flag; [`ServerHandle::shutdown`] raises
 //!   it, joins the reactor (which drains and closes every connection),
-//!   closes the change watch and joins the fabric pump (whose final
+//!   closes the change watch and joins the fabric pumps (whose final
 //!   flush still reaches the running engine), then joins the engine
 //!   thread and returns the engine — if a thread leaked, shutdown would
 //!   hang, which is exactly what the CI smoke test checks with a timeout.
@@ -59,7 +59,6 @@ use crate::protocol::{
 use crate::queue::{
     engine_channel, CommandClass, EngineQueue, EngineSender, PushRefusal, QueueEntry, RecvOutcome,
 };
-use crate::retry::RetryPolicy;
 use crate::watch::ChangeWatch;
 use pka_contingency::{Assignment, Schema};
 use pka_core::{KnowledgeBase, Query, QueryResult};
@@ -94,11 +93,9 @@ pub struct ServeConfig {
     /// Cap on one request line; longer lines are discarded and answered
     /// with an `overlong-line` error.
     pub max_line_bytes: usize,
-    /// The server's fabric role and the peers its pump talks to (default
+    /// The server's fabric role and the peers its pumps talk to (default
     /// [`FabricRole::Standalone`], which runs no pump).
     pub role: FabricRole,
-    /// Retry policy for every peer conversation of the role's pump.
-    pub retry: RetryPolicy,
     /// Name this node reports as the `source` of its `shard-pull` exports;
     /// defaults to the bound address.
     pub node_name: Option<String>,
@@ -198,12 +195,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the pump's peer retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Sets the node name reported as this server's `shard-pull` source.
     pub fn with_node_name(mut self, node_name: impl Into<String>) -> Self {
         self.node_name = Some(node_name.into());
@@ -273,7 +264,6 @@ impl Default for ServeConfig {
             stream: StreamConfig::default(),
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             role: FabricRole::Standalone,
-            retry: RetryPolicy::default(),
             node_name: None,
             loop_shards: 2,
             max_connections: 8192,
@@ -548,7 +538,7 @@ impl Refusal {
     }
 }
 
-/// Commands forwarded from loop shards (and the fabric pump) to the
+/// Commands forwarded from loop shards (and the fabric pumps) to the
 /// engine thread.
 pub(crate) enum EngineCommand {
     Ingest {
@@ -647,7 +637,7 @@ pub struct Server;
 
 impl Server {
     /// Binds the listener, spawns the engine thread, the reactor
-    /// (acceptor + loop shards) and the fabric role's pump, and returns a
+    /// (acceptor + loop shards) and the fabric role's pumps, and returns a
     /// handle.  The server is serving as soon as this returns.
     pub fn start(schema: Arc<Schema>, config: ServeConfig) -> Result<ServerHandle, ServeError> {
         config.role.validate()?;
@@ -706,10 +696,10 @@ impl Server {
             admission: Arc::clone(&admission),
         });
         // The reactor threads hold the only service `Arc`s, and with them
-        // the only `EngineCommand` senders besides the pump's and those in
-        // in-flight responders.  The pump's sender lets its final flush
-        // reach the engine after the reactor has joined; once the pump
-        // exits too, the engine thread finishes.  The handle deliberately
+        // the only `EngineCommand` senders besides the pumps' and those in
+        // in-flight responders.  A pump's sender lets an ingest node's
+        // final flush reach the engine after the reactor has joined; once
+        // the pumps exit too, the engine thread finishes.  The handle deliberately
         // keeps no sender.
         let pump_engine = engine_tx.clone();
         let service = Arc::new(ServeService {
@@ -724,21 +714,18 @@ impl Server {
             shared,
             changes,
             reactor: Some(reactor),
-            pump: None,
+            pumps: Vec::new(),
             engine: Some(engine_thread),
         };
-        // Spawned last: if the spawn fails, dropping `server` shuts the
-        // rest down in order.
-        server.pump = fabric::spawn_pump(
-            &config.role,
-            PumpContext {
-                snapshots: server.snapshots(),
-                engine: pump_engine,
-                changes: Arc::clone(&server.changes),
-                node_name: server.shared.node_name.clone(),
-                retry: config.retry,
-            },
-        )?;
+        // Spawned last: if a spawn fails, dropping `server` shuts the rest
+        // down in order.
+        let context = PumpContext {
+            snapshots: server.snapshots(),
+            engine: pump_engine,
+            changes: Arc::clone(&server.changes),
+            node_name: server.shared.node_name.clone(),
+        };
+        fabric::spawn_pumps(&config.role, context, &mut server.pumps)?;
         Ok(server)
     }
 }
@@ -751,7 +738,7 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     changes: Arc<ChangeWatch>,
     reactor: Option<ReactorHandle>,
-    pump: Option<JoinHandle<()>>,
+    pumps: Vec<JoinHandle<()>>,
     engine: Option<JoinHandle<StreamingEngine>>,
 }
 
@@ -797,9 +784,9 @@ impl ServerHandle {
     }
 
     /// Joins in dependency order: the reactor drains (no new work), the
-    /// change watch closes, the pump makes its final flush through the
-    /// still-running engine and exits, and the engine — its last sender
-    /// gone — finishes and cuts its final checkpoint.
+    /// change watch closes, the pumps exit (an ingest node's after its
+    /// final flush through the still-running engine), and the engine —
+    /// its last sender gone — finishes and cuts its final checkpoint.
     fn join_threads(&mut self) -> Result<StreamingEngine, ServeError> {
         if let Some(mut reactor) = self.reactor.take() {
             // Blocks until the shutdown flag rises (here, or via a client's
@@ -808,7 +795,7 @@ impl ServerHandle {
             reactor.join();
         }
         self.changes.close();
-        if let Some(pump) = self.pump.take() {
+        for pump in self.pumps.drain(..) {
             let _ = pump.join();
         }
         let engine = self

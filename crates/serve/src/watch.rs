@@ -2,14 +2,15 @@
 //!
 //! The engine thread [bumps](ChangeWatch::bump) the counter after every
 //! command that can change counts or the published snapshot; the
-//! server's own fabric pump (an ingest node's or a coordinator's, see
-//! [`crate::fabric`]) [waits past](ChangeWatch::wait_past) the generation
-//! it last acted on, so a change is propagated as soon as it happens
-//! instead of on the next timer tick.  The pump is the only waiter: the
+//! server's own fabric pumps (an ingest node's or a coordinator's, see
+//! [`crate::fabric`]) [wait past](ChangeWatch::wait_past) the generation
+//! they last acted on, so a change is propagated as soon as it happens
+//! instead of on the next timer tick.  The pumps are the only waiters: the
 //! watch is private to the server, which closes it on shutdown after the
-//! reactor has drained and before the engine stops.  Any number of bumps during one delivery
-//! fold into a single wake: the waiter then ships the latest state, which
-//! (cumulative shards, version-gated snapshots) subsumes every earlier one.
+//! reactor has drained and before the engine stops.  Any number of bumps
+//! during one delivery fold into a single wake: the waiter then ships the
+//! latest state, which (cumulative shards, version-gated snapshots)
+//! subsumes every earlier one.
 //!
 //! [Closing](ChangeWatch::close) the watch wakes every waiter at once, so a
 //! background thread parked on it is stoppable without a polling slice.

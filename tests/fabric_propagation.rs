@@ -10,15 +10,18 @@
 //! Shutdown delivers too: a wire `shutdown` followed by `wait()` (the path
 //! `pka-fabric` runs on `SIGTERM`) makes an ingest node's final push
 //! through its still-running engine before the node exits.
+//!
+//! A dead or hung peer costs only its own pump: the last four tests run
+//! the `pka-fabric` default intervals against a port reserved and then
+//! released (dead) or a listener that never accepts (hung), and bound
+//! each delivery and each shutdown at 200 ms.
 
 use pka::contingency::{Assignment, Schema};
 use pka::core::{Acquisition, AcquisitionConfig};
 use pka::maxent::ConvergenceCriteria;
 use pka::serve::protocol::object;
-use pka::serve::{
-    FabricRole, LineClient, QueryAnswer, RetryPolicy, ServeConfig, Server, ServerHandle,
-};
-use pka::stream::{CountShard, RefreshPolicy, StreamConfig};
+use pka::serve::{FabricRole, LineClient, QueryAnswer, ServeConfig, Server, ServerHandle};
+use pka::stream::{CountShard, FsyncPolicy, RefreshPolicy, StreamConfig};
 use serde::Value;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,6 +30,10 @@ use std::time::{Duration, Instant};
 const TIMER: Duration = Duration::from_secs(30);
 /// How long a batch may take from acknowledgement to a replica answer.
 const BUDGET: Duration = Duration::from_secs(2);
+/// The `pka-fabric` default push and sync interval.
+const DEFAULT_INTERVAL: Duration = Duration::from_millis(25);
+/// How long a delivery or a shutdown may take beside a dead or hung peer.
+const PROMPT: Duration = Duration::from_millis(200);
 
 fn schema() -> Arc<Schema> {
     Schema::uniform(&[3, 2, 2]).unwrap().into_shared()
@@ -58,8 +65,7 @@ fn start_coordinator(replica: &str, sync_interval: Duration) -> ServerHandle {
         .with_acquisition(tight_acquisition());
     let config = ServeConfig::new()
         .with_stream(stream)
-        .with_role(FabricRole::Coordinator { replicas: vec![replica.to_string()], sync_interval })
-        .with_retry(RetryPolicy::fast());
+        .with_role(FabricRole::Coordinator { replicas: vec![replica.to_string()], sync_interval });
     Server::start(schema(), config).unwrap()
 }
 
@@ -68,19 +74,16 @@ fn start_node(coordinator: &ServerHandle) -> ServerHandle {
 }
 
 fn start_node_pushing_to(coordinator: &str, name: &str) -> ServerHandle {
-    let config = ServeConfig::new()
-        .with_node_name(name)
-        .with_role(FabricRole::IngestNode {
-            coordinator: coordinator.to_string(),
-            push_interval: TIMER,
-        })
-        .with_retry(RetryPolicy::fast());
+    let config = ServeConfig::new().with_node_name(name).with_role(FabricRole::IngestNode {
+        coordinator: coordinator.to_string(),
+        push_interval: TIMER,
+    });
     Server::start(schema(), config).unwrap()
 }
 
 fn start_replica(serve: ServeConfig) -> ServerHandle {
     let role = FabricRole::Replica { coordinator: None, pull_interval: Duration::from_millis(50) };
-    Server::start(schema(), serve.with_role(role).with_retry(RetryPolicy::fast())).unwrap()
+    Server::start(schema(), serve.with_role(role)).unwrap()
 }
 
 /// A port nothing listens on right now, for a replica booted later.
@@ -256,9 +259,9 @@ fn a_wire_shutdown_delivers_the_final_push_and_exits_promptly() {
         "the final flush must deliver every acknowledged row"
     );
 
-    // A node that already pushed everything, with the retry policy
-    // `pka-fabric` runs: several on-change pushes, then a prompt exit with
-    // nothing left to deliver (no peer call at all, so no retry either).
+    // A node that already pushed everything: several on-change pushes,
+    // then a prompt exit with nothing left to deliver (no peer call at
+    // all).
     let config = ServeConfig::new().with_node_name("node-a").with_role(FabricRole::IngestNode {
         coordinator: coordinator.addr().to_string(),
         push_interval: TIMER,
@@ -288,4 +291,100 @@ fn a_wire_shutdown_delivers_the_final_push_and_exits_promptly() {
     assert!(exit < Duration::from_millis(200), "a node with nothing to push took {exit:?} to exit");
     assert_eq!(control.stats().unwrap().total_ingested, delivered);
     coordinator.shutdown().unwrap();
+}
+
+/// A manually refreshed coordinator offering to `replicas` in list order.
+fn start_manual_coordinator(replicas: Vec<String>) -> ServerHandle {
+    let stream = StreamConfig::new().with_policy(RefreshPolicy::Manual);
+    let role = FabricRole::Coordinator { replicas, sync_interval: DEFAULT_INTERVAL };
+    Server::start(schema(), ServeConfig::new().with_stream(stream).with_role(role)).unwrap()
+}
+
+/// Three ingest + `refresh` rounds on `coordinator`; `live` must serve each
+/// new version within [`PROMPT`] of its `refresh` returning.
+fn assert_each_refresh_reaches(coordinator: &ServerHandle, live: &ServerHandle) {
+    let mut writer = LineClient::connect(coordinator.addr()).unwrap();
+    for round in 0..3 {
+        writer.ingest(&rows(round * 40, 40)).unwrap();
+        let version = writer.refresh().unwrap().version;
+        let started = Instant::now();
+        while live.snapshots().version().unwrap_or(0) < version {
+            let waited = started.elapsed();
+            assert!(waited < PROMPT, "version {version} not on the live replica after {waited:?}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+}
+
+#[test]
+fn a_dead_replica_does_not_delay_the_live_one() {
+    let live = start_replica(ServeConfig::new());
+    let dead = format!("127.0.0.1:{}", unused_port());
+    let coordinator = start_manual_coordinator(vec![dead, live.addr().to_string()]);
+    assert_each_refresh_reaches(&coordinator, &live);
+    coordinator.shutdown().unwrap();
+    live.shutdown().unwrap();
+}
+
+#[test]
+fn a_hung_replica_does_not_delay_the_live_one() {
+    // Connects complete in the kernel's backlog, but nothing ever reads
+    // or answers: a sync to it blocks until its socket deadline.
+    let hung = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let live = start_replica(ServeConfig::new());
+    let replicas = vec![hung.local_addr().unwrap().to_string(), live.addr().to_string()];
+    let coordinator = start_manual_coordinator(replicas);
+    assert_each_refresh_reaches(&coordinator, &live);
+    // Closing the listener resets its queued connections, which ends the
+    // blocked sync before shutdown joins its pump.
+    drop(hung);
+    coordinator.shutdown().unwrap();
+    live.shutdown().unwrap();
+}
+
+#[test]
+fn a_coordinator_with_a_dead_replica_shuts_down_promptly_after_a_publish() {
+    let coordinator = start_manual_coordinator(vec![format!("127.0.0.1:{}", unused_port())]);
+    let mut writer = LineClient::connect(coordinator.addr()).unwrap();
+    writer.ingest(&rows(0, 40)).unwrap();
+    writer.refresh().unwrap();
+    // Long enough for the pump to have offered the snapshot and failed.
+    std::thread::sleep(Duration::from_millis(20));
+    let started = Instant::now();
+    coordinator.shutdown().unwrap();
+    let took = started.elapsed();
+    assert!(took < PROMPT, "shutdown beside a dead replica took {took:?}");
+}
+
+#[test]
+fn an_ingest_node_with_a_dead_coordinator_exits_promptly_and_keeps_its_rows() {
+    let journal = std::env::temp_dir()
+        .join(format!("pka-fabric-propagation-{}-dead-coordinator.journal", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
+    let config = ServeConfig::new()
+        .with_node_name("orphan")
+        .with_journal(&journal)
+        .with_journal_fsync(FsyncPolicy::PerRecord)
+        .with_role(FabricRole::IngestNode {
+            coordinator: format!("127.0.0.1:{}", unused_port()),
+            push_interval: DEFAULT_INTERVAL,
+        });
+    let node = Server::start(schema(), config.clone()).unwrap();
+    let acknowledged = rows(0, 30);
+    LineClient::connect(node.addr()).unwrap().ingest(&acknowledged).unwrap();
+    // The push the ingest triggered has failed by now.
+    std::thread::sleep(Duration::from_millis(20));
+
+    // The final flush is one attempt against the dead port, then exit.
+    let started = Instant::now();
+    node.shutdown().unwrap();
+    let took = started.elapsed();
+    assert!(took < PROMPT, "shutdown with a dead coordinator took {took:?}");
+
+    // Undelivered, but durable: a restart recovers every acknowledged row.
+    let restarted = Server::start(schema(), config).unwrap();
+    let stats = LineClient::connect(restarted.addr()).unwrap().stats().unwrap();
+    assert_eq!(stats.recovered_tuples, acknowledged.len() as u64);
+    restarted.shutdown().unwrap();
+    let _ = std::fs::remove_file(&journal);
 }
