@@ -27,7 +27,7 @@ use std::sync::Arc;
 /// observed) a [`ContingencyTable::count_matching`] call touches hundreds of
 /// cells, not a million.  `occupied` is derived state: it is skipped on
 /// serialisation (the wire format is just `schema`/`counts`/`total`),
-/// rebuilt on deserialisation, and excluded from equality.
+/// built on decoding, and excluded from equality.
 #[derive(Debug, Clone, Serialize)]
 pub struct ContingencyTable {
     schema: Arc<Schema>,
@@ -47,17 +47,21 @@ impl PartialEq for ContingencyTable {
 
 impl Eq for ContingencyTable {}
 
+/// Decodes through [`ContingencyTable::from_counts`]; the stored `total`
+/// must equal the counts' sum.
 impl Deserialize for ContingencyTable {
     fn deserialize(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        #[derive(Deserialize)]
-        struct Raw {
-            schema: Arc<Schema>,
-            counts: Vec<u64>,
-            total: u64,
+        let table =
+            Self::from_counts(serde::de_field(value, "schema")?, serde::de_field(value, "counts")?)
+                .map_err(|e| serde::Error::custom(e.to_string()))?;
+        let claimed: u64 = serde::de_field(value, "total")?;
+        if claimed != table.total {
+            return Err(serde::Error::custom(format!(
+                "table claims {claimed} tuples but its counts sum to {}",
+                table.total
+            )));
         }
-        let raw = Raw::deserialize(value)?;
-        let occupied = occupied_of(&raw.counts);
-        Ok(Self { schema: raw.schema, counts: raw.counts, total: raw.total, occupied })
+        Ok(table)
     }
 }
 

@@ -42,8 +42,7 @@ pub struct AcquisitionTimings {
     /// Everything but the solver: tabulating the observed marginals,
     /// evaluating the model's marginals and scoring every candidate.
     pub scoring: Duration,
-    /// The solver fits (the initial one plus one per promoted cell) and
-    /// the final renormalisation of the fitted model.
+    /// The solver fits (the initial one plus one per promoted cell).
     pub fit: Duration,
 }
 
@@ -254,7 +253,7 @@ impl Acquisition {
                 // One evaluator per round; every candidate varset then gets
                 // one marginal table — a pass over the model's dense image
                 // below the ceiling, an elimination above it.
-                let evaluator = Evaluator::unnormalized(&model, self.config.dense_ceiling);
+                let evaluator = Evaluator::new(&model, self.config.dense_ceiling);
 
                 // Score every unconstrained cell at this order.  Only the
                 // running best (first in enumeration order on a tie) and
@@ -357,9 +356,6 @@ impl Acquisition {
             }
         }
 
-        let normalize_started = Instant::now();
-        let model = normalized(model);
-        fit_time += normalize_started.elapsed();
         let knowledge_base = KnowledgeBase::new(schema, constraints, model, table.total())?;
         let timings = AcquisitionTimings {
             scoring: started.elapsed().saturating_sub(fit_time),
@@ -367,13 +363,6 @@ impl Acquisition {
         };
         Ok(AcquisitionOutcome { knowledge_base, trace, timings })
     }
-}
-
-fn normalized(mut model: LogLinearModel) -> LogLinearModel {
-    // The solver leaves the model normalised to numerical precision; one
-    // final exact renormalisation keeps downstream queries clean.
-    let _ = model.normalize();
-    model
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use pka_maxent::{
     Constraint, ConstraintSet, EvalPath, Evaluator, FactorGraph, JointDistribution, LogLinearModel,
     MarginalLattice, DEFAULT_DENSE_CEILING,
 };
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
@@ -29,8 +29,10 @@ use std::sync::{Arc, OnceLock};
 /// builds both up front (what a published snapshot does); a knowledge base
 /// without them builds the default-ceiling evaluator on first use.  Both
 /// are **derived state**: skipped by serialisation and ignored by
-/// equality, exactly like the model's factor index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// equality, exactly like the model's factor index.  Decoding goes through
+/// [`KnowledgeBase::new`] (and the parts through their own checked
+/// constructors), so a decoded knowledge base is indexed and has one schema.
+#[derive(Debug, Clone, Serialize)]
 pub struct KnowledgeBase {
     schema: Arc<Schema>,
     constraints: ConstraintSet,
@@ -57,6 +59,12 @@ impl PartialEq for KnowledgeBase {
 impl KnowledgeBase {
     /// Assembles a knowledge base from its parts (normally done by
     /// [`crate::Acquisition::run`]).
+    ///
+    /// `model` must be normalised, as a solver fit is: nothing rescales it
+    /// here or in [`Evaluator::new`], so an unnormalised model's answers
+    /// would depend on which evaluation path served them.  A model of
+    /// unknown origin can be tested with `evaluator().check()`, as a
+    /// replica does before it publishes a synced snapshot.
     pub fn new(
         schema: Arc<Schema>,
         constraints: ConstraintSet,
@@ -216,11 +224,17 @@ impl KnowledgeBase {
             .filter(|&(_, count)| count > 0)
             .collect()
     }
+}
 
-    /// Restores internal lookup indexes after deserialisation.
-    pub fn rebuild_indexes(&mut self) {
-        self.constraints.rebuild_index();
-        self.model.rebuild_index();
+impl Deserialize for KnowledgeBase {
+    fn deserialize(value: &Value) -> std::result::Result<Self, serde::Error> {
+        Self::new(
+            serde::de_field(value, "schema")?,
+            serde::de_field(value, "constraints")?,
+            serde::de_field(value, "model")?,
+            serde::de_field(value, "sample_size")?,
+        )
+        .map_err(|e| serde::Error::custom(e.to_string()))
     }
 }
 
@@ -365,14 +379,5 @@ mod tests {
         kb.attach_factor_graph(own).unwrap();
         let order3 = Assignment::from_pairs([(0, 0), (1, 0), (2, 1)]);
         assert_eq!(kb.evaluate(&order3).1, EvalPath::Factored);
-    }
-
-    #[test]
-    fn rebuild_indexes_is_idempotent() {
-        let mut kb = sample_kb();
-        let before = kb.probability(&Assignment::single(0, 0));
-        kb.rebuild_indexes();
-        kb.rebuild_indexes();
-        assert_eq!(kb.probability(&Assignment::single(0, 0)), before);
     }
 }

@@ -10,6 +10,7 @@ use crate::knowledge_base::KnowledgeBase;
 use crate::Result;
 use pka_contingency::{Assignment, Schema, VarSet};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// One induced rule: `IF conditions THEN conclusion (with probability p)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -123,8 +124,15 @@ impl Default for RuleInductionConfig {
 }
 
 /// Enumerates every rule the knowledge base supports under the given
-/// filters, sorted by decreasing lift deviation (the most surprising rules
-/// first).
+/// filters, ranked by decreasing lift deviation `|lift − 1|` (the most
+/// surprising rules first).
+///
+/// Lifts within 1e-12 of each other rank as equal: a rule and its converse
+/// share the lift `P(a, b) / (P(a) P(b))`, and computed lifts that are
+/// equal in exact arithmetic differ only in rounding.  Equal lifts rank by
+/// decreasing probability (the more reliable rule first), then by
+/// increasing support (the more specific condition first), then in
+/// enumeration order.
 pub fn induce_rules(kb: &KnowledgeBase, config: &RuleInductionConfig) -> Result<Vec<Rule>> {
     let schema = kb.schema();
     let all = schema.all_vars();
@@ -167,10 +175,9 @@ pub fn induce_rules(kb: &KnowledgeBase, config: &RuleInductionConfig) -> Result<
             }
         }
     }
-    rules.sort_by(|a, b| {
-        let da = (a.lift - 1.0).abs();
-        let db = (b.lift - 1.0).abs();
-        db.partial_cmp(&da).unwrap_or(std::cmp::Ordering::Equal)
+    let grid = |x: f64| (x * 1e12).round() as i64;
+    rules.sort_by_key(|r| {
+        (Reverse(grid((r.lift - 1.0).abs())), Reverse(grid(r.probability)), grid(r.support))
     });
     Ok(rules)
 }
@@ -229,6 +236,38 @@ mod tests {
         let rules = induce_rules(&kb, &RuleInductionConfig::default()).unwrap();
         for pair in rules.windows(2) {
             assert!((pair[0].lift - 1.0).abs() + 1e-12 >= (pair[1].lift - 1.0).abs());
+        }
+    }
+
+    #[test]
+    fn equal_lifts_rank_by_probability_then_support() {
+        let kb = kb();
+        let rules = induce_rules(&kb, &RuleInductionConfig::default()).unwrap();
+        let grid = |x: f64| (x * 1e12).round() as i64;
+        for pair in rules.windows(2) {
+            let deviation = |r: &Rule| grid((r.lift - 1.0).abs());
+            if deviation(&pair[0]) == deviation(&pair[1]) {
+                let (p0, p1) = (grid(pair[0].probability), grid(pair[1].probability));
+                assert!(p0 >= p1, "equal lifts: the more probable rule first");
+                if p0 == p1 {
+                    assert!(grid(pair[0].support) <= grid(pair[1].support));
+                }
+            }
+        }
+        // `cancer=yes → smoker` and three smoker rules share one lift (a
+        // rule and its converse always do; the conditional independence
+        // of cancer and family history given smoking makes the others
+        // equal too): the more probable rule first, then the rarer
+        // conditions.
+        let tied: Vec<String> = rules[1..5].iter().map(|r| r.format(kb.schema())).collect();
+        let heads = [
+            "IF cancer=yes THEN smoking=smoker",
+            "IF smoking=smoker AND family-history=yes THEN cancer=yes",
+            "IF smoking=smoker AND family-history=no THEN cancer=yes",
+            "IF smoking=smoker THEN cancer=yes",
+        ];
+        for (rule, head) in tied.iter().zip(heads) {
+            assert!(rule.starts_with(head), "{rule:?} ranked where {head:?} belongs");
         }
     }
 

@@ -3,7 +3,9 @@
 //! The point of the memo's system is to *store* the significant joint
 //! probabilities for later use by an expert system, so the knowledge base
 //! must round-trip through a durable format.  JSON keeps the artefact
-//! human-inspectable; the internal lookup indexes are rebuilt on load.
+//! human-inspectable.  Loading is construction: the knowledge base's
+//! `Deserialize` goes through its checked constructors, so a loaded
+//! knowledge base is validated and indexed, and nothing runs after it.
 
 use crate::knowledge_base::KnowledgeBase;
 use crate::Result;
@@ -19,11 +21,9 @@ pub fn to_json_compact(kb: &KnowledgeBase) -> Result<String> {
 }
 
 /// Restores a knowledge base from JSON produced by [`to_json`] /
-/// [`to_json_compact`], rebuilding the internal indexes.
+/// [`to_json_compact`].
 pub fn from_json(text: &str) -> Result<KnowledgeBase> {
-    let mut kb: KnowledgeBase = serde_json::from_str(text)?;
-    kb.rebuild_indexes();
-    Ok(kb)
+    Ok(serde_json::from_str(text)?)
 }
 
 #[cfg(test)]

@@ -101,7 +101,8 @@ fn roles_refuse_the_methods_they_do_not_serve() {
     assert_eq!(remote_code(client.refresh()), "role-unsupported");
     assert_eq!(remote_code(client.shard_push("node-a", 1, &shard)), "role-unsupported");
     assert!(client.snapshot_sync(&meta, &kb).is_ok());
-    assert!(client.shard_pull().is_ok(), "shard-pull is read-only and serves on every role");
+    let gone = client.call("shard-pull", protocol::object([]));
+    assert_eq!(remote_code(gone), "unknown-method", "no role serves shard-pull");
     replica.shutdown().unwrap();
 
     // An ingest node accepts rows but no shard or snapshot deliveries.

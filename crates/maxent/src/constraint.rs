@@ -10,12 +10,15 @@
 use crate::error::MaxEntError;
 use crate::Result;
 use pka_contingency::{Assignment, ContingencyTable, Schema};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A single known probability: `P(assignment) = probability`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Decoding goes through [`Constraint::new`], so a decoded constraint's
+/// probability is a finite value in `[0, 1]`.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Constraint {
     /// The marginal cell being constrained.
     pub assignment: Assignment,
@@ -41,12 +44,21 @@ impl Constraint {
     }
 }
 
+impl Deserialize for Constraint {
+    fn deserialize(value: &Value) -> std::result::Result<Self, serde::Error> {
+        Self::new(serde::de_field(value, "assignment")?, serde::de_field(value, "probability")?)
+            .map_err(|e| serde::Error::custom(e.to_string()))
+    }
+}
+
 /// An ordered collection of constraints over one schema.
 ///
 /// Insertion order is preserved — the solver cycles through constraints in
 /// this order, and the acquisition loop's reports list them in the order
-/// they were discovered.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// they were discovered.  The cell index is not serialised: decoding adds
+/// each constraint through [`ConstraintSet::add`], which checks it against
+/// the schema and indexes it.
+#[derive(Debug, Clone, Serialize)]
 pub struct ConstraintSet {
     schema: Arc<Schema>,
     constraints: Vec<Constraint>,
@@ -220,12 +232,17 @@ impl ConstraintSet {
         }
         Ok(())
     }
+}
 
-    /// Rebuilds the internal index; needed after deserialisation (the index
-    /// is not serialised).
-    pub fn rebuild_index(&mut self) {
-        self.index =
-            self.constraints.iter().enumerate().map(|(i, c)| (c.assignment.clone(), i)).collect();
+impl Deserialize for ConstraintSet {
+    fn deserialize(value: &Value) -> std::result::Result<Self, serde::Error> {
+        let mut set = Self::new(serde::de_field(value, "schema")?);
+        let constraints: Vec<Constraint> = serde::de_field(value, "constraints")?;
+        constraints
+            .into_iter()
+            .try_for_each(|c| set.add(c))
+            .map_err(|e| serde::Error::custom(e.to_string()))?;
+        Ok(set)
     }
 }
 
@@ -350,15 +367,5 @@ mod tests {
         assert_eq!(set.of_order(2).count(), 1);
         assert_eq!(set.of_order(3).count(), 0);
         assert_eq!(set.max_order(), 2);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let t = paper_table();
-        let mut set = ConstraintSet::first_order_from_table(&t).unwrap();
-        set.index.clear();
-        assert!(set.probability_of(&Assignment::single(0, 0)).is_none());
-        set.rebuild_index();
-        assert!(set.probability_of(&Assignment::single(0, 0)).is_some());
     }
 }

@@ -53,26 +53,21 @@ pub enum Evaluator {
 }
 
 impl Evaluator {
-    /// The evaluator of a fitted model: its normalised dense joint at or
-    /// below `dense_ceiling` cells, its factor graph (partition sum
-    /// precomputed, so reads never initialise it) above.
+    /// The evaluator of a fitted model: its dense image at or below
+    /// `dense_ceiling` cells, exactly as the model's a-values produce it
+    /// (the solver returns models normalised to rounding, so nothing is
+    /// renormalised here), its factor graph (partition sum precomputed, so
+    /// reads never initialise it) above.
+    ///
+    /// The model must be normalised.  The factor graph divides by its
+    /// partition sum and the dense image does not, so the two arms answer
+    /// an unnormalised model differently; [`Evaluator::check`] refuses
+    /// such a model on either arm.
     pub fn new(model: &LogLinearModel, dense_ceiling: usize) -> Self {
         if is_factored(model.schema(), dense_ceiling) {
             let graph = FactorGraph::from_model(model);
             graph.partition();
             Self::Factored(graph)
-        } else {
-            Self::Dense(model.to_joint())
-        }
-    }
-
-    /// Like [`Evaluator::new`], but the dense arm keeps the model's dense
-    /// image exactly as the solver left it, without renormalising.  This is
-    /// what acquisition scores candidates against, so its rankings follow
-    /// the fitted model's own arithmetic bit for bit.
-    pub fn unnormalized(model: &LogLinearModel, dense_ceiling: usize) -> Self {
-        if is_factored(model.schema(), dense_ceiling) {
-            Self::Factored(FactorGraph::from_model(model))
         } else {
             Self::Dense(JointDistribution::from_raw(
                 model.shared_schema(),
@@ -138,8 +133,10 @@ impl Evaluator {
 
     /// Checks that the model defines a probability distribution: every
     /// dense cell finite and non-negative with total mass within `1e-6` of
-    /// one, or — where no dense joint exists — a finite, positive partition
-    /// sum.  The error describes what failed.
+    /// one, or — where no dense joint exists — a partition sum within
+    /// `1e-6` of one.  Nothing renormalises a model on its way here, so a
+    /// decoded model is checked at its real mass.  The error describes what
+    /// failed.
     pub fn check(&self) -> Result<(), String> {
         let (what, value, ok) = match self {
             Self::Dense(joint) => {
@@ -150,7 +147,7 @@ impl Evaluator {
             }
             Self::Factored(graph) => {
                 let z = graph.partition();
-                ("partition", z, z.is_finite() && z > 0.0)
+                ("partition", z, (z - 1.0).abs() <= 1e-6)
             }
         };
         if ok {

@@ -5,7 +5,7 @@ use crate::error::MaxEntError;
 use crate::joint::JointDistribution;
 use crate::Result;
 use pka_contingency::{Assignment, Schema};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -19,7 +19,11 @@ use std::sync::Arc;
 /// (the memo's Eq. 12, with `a0 = e^{-w0}` from Eq. 13).  The model is the
 /// compact artefact the acquisition procedure outputs: every probability
 /// relation associated with the data can be computed from it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The factor index is not serialised: decoding goes through
+/// [`LogLinearModel::from_factors`], which validates the multipliers and
+/// builds it.
+#[derive(Debug, Clone, Serialize)]
 pub struct LogLinearModel {
     schema: Arc<Schema>,
     a0: f64,
@@ -37,7 +41,8 @@ impl LogLinearModel {
     }
 
     /// Builds a model from explicit factors.  Factor values must be
-    /// non-negative and finite; `a0` must be positive and finite.
+    /// non-negative and finite, each cell must lie in the schema and appear
+    /// once; `a0` must be positive and finite.
     pub fn from_factors(
         schema: Arc<Schema>,
         a0: f64,
@@ -58,7 +63,12 @@ impl LogLinearModel {
             }
             Assignment::checked_new(&schema, a.vars(), a.values().to_vec())?;
         }
-        let index = factors.iter().enumerate().map(|(i, (a, _))| (a.clone(), i)).collect();
+        let index: HashMap<_, _> =
+            factors.iter().enumerate().map(|(i, (a, _))| (a.clone(), i)).collect();
+        if index.len() < factors.len() {
+            let reason = "a cell has two multipliers".to_string();
+            return Err(MaxEntError::InfeasibleConstraints { reason });
+        }
         Ok(Self { schema, a0, factors, index })
     }
 
@@ -217,10 +227,16 @@ impl LogLinearModel {
     pub fn to_joint(&self) -> JointDistribution {
         JointDistribution::from_unnormalized(Arc::clone(&self.schema), self.dense_probabilities())
     }
+}
 
-    /// Rebuilds the internal factor index; needed after deserialisation.
-    pub fn rebuild_index(&mut self) {
-        self.index = self.factors.iter().enumerate().map(|(i, (a, _))| (a.clone(), i)).collect();
+impl Deserialize for LogLinearModel {
+    fn deserialize(value: &Value) -> std::result::Result<Self, serde::Error> {
+        Self::from_factors(
+            serde::de_field(value, "schema")?,
+            serde::de_field(value, "a0")?,
+            serde::de_field(value, "factors")?,
+        )
+        .map_err(|e| serde::Error::custom(e.to_string()))
     }
 }
 
@@ -352,15 +368,6 @@ mod tests {
             let expected = m.cell_probability(&values) / m.total_mass();
             assert!((j.probability_of_values(&values) - expected).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn rebuild_index_after_clearing() {
-        let mut m = independence_model();
-        m.index.clear();
-        assert_eq!(m.factor_of(&Assignment::single(0, 0)), None);
-        m.rebuild_index();
-        assert!(m.factor_of(&Assignment::single(0, 0)).is_some());
     }
 
     proptest! {

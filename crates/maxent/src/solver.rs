@@ -29,7 +29,9 @@
 //! * one `O(cells)` renormalisation at the end of the sweep (dividing `p` by
 //!   `z` and folding `1/z` into `a0`) restores `Σ p = 1`, so traces, the
 //!   convergence check and the returned model are exactly the quantities the
-//!   eager iteration produces.
+//!   eager iteration produces.  The returned model takes one more exact
+//!   re-sum of `p`, so its mass is one to rounding on both kernels (the
+//!   factored kernel divides by the exact partition sum every sweep).
 //!
 //! Because every update ratio matches the eager iteration's ratio up to
 //! floating-point rounding, the two iterations follow the same trajectory
@@ -429,6 +431,7 @@ impl Solver {
                 trace.push(record_of(iteration, &model, &fitted, max_violation));
             }
             if max_violation <= self.criteria.tolerance {
+                settle(&mut model, &p);
                 return Ok((
                     model,
                     SolveReport { iterations, max_violation, converged: true, trace },
@@ -449,6 +452,7 @@ impl Solver {
         if self.criteria.record_trace && trace.is_empty() {
             trace.push(record_of(iterations, &model, &fitted, max_violation));
         }
+        settle(&mut model, &p);
         Ok((model, SolveReport { iterations, max_violation, converged: false, trace }))
     }
 
@@ -645,6 +649,14 @@ fn record_of(
         a0: model.a0(),
         fitted: fitted.to_vec(),
     }
+}
+
+/// Folds an exact re-sum of the working vector into `a0` before a model is
+/// returned (the sweeps divide by the tracked mass): the model's only
+/// normalisation after fitting, so its mass is one to rounding.
+fn settle(model: &mut LogLinearModel, p: &[f64]) {
+    let z: f64 = p.iter().sum();
+    model.scale_a0(1.0 / z);
 }
 
 /// Divides the dense vector by `z` and folds `1/z` into `a0`, keeping the

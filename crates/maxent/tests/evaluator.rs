@@ -55,9 +55,9 @@ fn both_arms_agree_on_every_marginal_and_probability() {
 }
 
 #[test]
-fn unnormalized_scores_the_raw_dense_image() {
+fn the_dense_arm_holds_the_raw_dense_image() {
     let model = fitted_model();
-    let evaluator = Evaluator::unnormalized(&model, usize::MAX);
+    let evaluator = Evaluator::new(&model, usize::MAX);
     assert_eq!(evaluator.joint().unwrap().probabilities(), model.dense_probabilities());
 }
 
@@ -66,9 +66,10 @@ fn check_accepts_fitted_models_and_rejects_broken_ones() {
     let model = fitted_model();
     assert!(Evaluator::new(&model, usize::MAX).check().is_ok());
     assert!(Evaluator::new(&model, 0).check().is_ok());
-    // Twelve cells of 0.5 each: mass 6.
+    // Twelve cells of 0.5 each: mass 6, on either arm.
     let heavy = LogLinearModel::from_factors(model.shared_schema(), 0.5, Vec::new()).unwrap();
-    assert!(Evaluator::unnormalized(&heavy, usize::MAX).check().unwrap_err().contains("mass 6"));
+    assert!(Evaluator::new(&heavy, usize::MAX).check().unwrap_err().contains("mass 6"));
+    assert!(Evaluator::new(&heavy, 0).check().unwrap_err().contains("partition 6"));
     let dead = LogLinearModel::from_factors(
         model.shared_schema(),
         1.0,

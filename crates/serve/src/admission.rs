@@ -93,8 +93,8 @@ impl AdmissionCounters {
 /// The wire class a method's rate limit draws from.
 fn method_class(method: &str) -> Option<MethodClass> {
     match method {
-        "query" | "query-batch" | "explain" | "snapshot-version" | "snapshot-pull"
-        | "shard-pull" | "ping" | "schema" => Some(MethodClass::Read),
+        "query" | "query-batch" | "explain" | "snapshot-version" | "snapshot-pull" | "ping"
+        | "schema" => Some(MethodClass::Read),
         "ingest" | "shard-push" | "snapshot-sync" => Some(MethodClass::Write),
         // Control/operator methods (`stats`, `refresh`, `shutdown`, and
         // anything unknown — the parser will refuse those) are never

@@ -51,20 +51,6 @@ impl ClientConfig {
     }
 }
 
-/// The typed answer to a `shard-pull` request: the serving node's local
-/// cumulative shard, tagged with its source identity and sequence number.
-#[derive(Debug, Clone)]
-pub struct ShardPullAnswer {
-    /// The serving node's self-declared source name.
-    pub source: String,
-    /// Monotone sequence number for coordinator-side staleness gating.
-    pub seq: u64,
-    /// Tuples in the shard (equal to `seq` for a live node).
-    pub tuples: u64,
-    /// The cumulative local counts.
-    pub shard: CountShard,
-}
-
 /// One name-based batch query: `(target pairs, evidence pairs)`.
 pub type NamedQuery<'a> = (&'a [(&'a str, &'a str)], &'a [(&'a str, &'a str)]);
 
@@ -440,29 +426,6 @@ impl LineClient {
             .map_err(|e| ServeError::BadResponse { reason: e.to_string() })
     }
 
-    /// `shard-pull`: fetches the serving node's cumulative local shard.
-    pub fn shard_pull(&mut self) -> Result<ShardPullAnswer, ServeError> {
-        let result = self.call("shard-pull", object([]))?;
-        let source = match result.get("source") {
-            Some(Value::Str(s)) => s.clone(),
-            _ => return Err(ServeError::BadResponse { reason: "missing `source`".into() }),
-        };
-        let field_u64 = |name: &str| -> Result<u64, ServeError> {
-            result
-                .get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ServeError::BadResponse { reason: format!("missing `{name}`") })
-        };
-        let seq = field_u64("seq")?;
-        let tuples = field_u64("tuples")?;
-        let shard_value = result
-            .get("shard")
-            .ok_or_else(|| ServeError::BadResponse { reason: "missing `shard`".into() })?;
-        let shard = CountShard::from_value(shard_value)
-            .map_err(|e| ServeError::BadResponse { reason: e.to_string() })?;
-        Ok(ShardPullAnswer { source, seq, tuples, shard })
-    }
-
     /// `snapshot-sync`: offers a snapshot (meta + knowledge base) to a
     /// replica.  A stale or duplicate offer comes back as
     /// `SyncSummary { applied: false, .. }`, not an error.
@@ -480,22 +443,16 @@ impl LineClient {
             .map_err(|e| ServeError::BadResponse { reason: e.to_string() })
     }
 
-    /// `snapshot-pull`: fetches the serving node's latest published
-    /// snapshot, if any — the replica catch-up path.  The returned
-    /// knowledge base has its runtime indexes rebuilt and is ready to use.
-    pub fn snapshot_pull(&mut self) -> Result<Option<(SnapshotMeta, KnowledgeBase)>, ServeError> {
-        let mut pulled = self.snapshot_pull_unindexed()?;
-        if let Some((_, knowledge_base)) = &mut pulled {
-            knowledge_base.rebuild_indexes();
-        }
-        Ok(pulled)
+    /// A second handle on this client's socket, to cut a blocked call.
+    pub(crate) fn try_clone_socket(&self) -> std::io::Result<TcpStream> {
+        self.writer.try_clone()
     }
 
-    /// [`LineClient::snapshot_pull`] without the index build, for a caller
-    /// that hands the knowledge base to an engine (which builds them).
-    pub(crate) fn snapshot_pull_unindexed(
-        &mut self,
-    ) -> Result<Option<(SnapshotMeta, KnowledgeBase)>, ServeError> {
+    /// `snapshot-pull`: fetches the serving node's latest published
+    /// snapshot, if any — the replica catch-up path.  The knowledge base
+    /// decodes through its checked constructors, so it arrives validated,
+    /// indexed and ready to use.
+    pub fn snapshot_pull(&mut self) -> Result<Option<(SnapshotMeta, KnowledgeBase)>, ServeError> {
         let result = self.call("snapshot-pull", object([]))?;
         match result.get("snapshot") {
             None | Some(Value::Null) => Ok(None),

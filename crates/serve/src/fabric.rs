@@ -39,7 +39,13 @@
 //! watch and propagate on change; their intervals only pace retries.  On
 //! shutdown the server closes the watch after the reactor has drained and
 //! before the engine stops, so an ingest node's last push (the final
-//! flush, one attempt) still reads its shard from the live engine.
+//! flush, one attempt) still reads its shard from the live engine.  A
+//! peer call still unanswered a short grace after shutdown began (or
+//! after the call itself began, if later) has its socket shut down, so a
+//! call blocked on a hung peer ends then, not at its socket deadline; time
+//! a pump spends waiting on its own engine does not count.  A connect
+//! cannot be cut: a peer that never completes the handshake still holds
+//! its pump up to the socket deadline.
 
 use crate::queue::{CommandClass, EngineSender};
 use crate::server::{EngineCommand, Responder};
@@ -48,14 +54,15 @@ use crate::{ClientConfig, LineClient, ServeError};
 use pka_stream::SnapshotHandle;
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
-use std::sync::Arc;
+use std::net::{Shutdown, TcpStream};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A server's place in a `pka-fabric` deployment: which protocol methods
 /// it serves, and the peers its pump talks to.  Every role answers the
 /// full read protocol (`query`, `query-batch`, `explain`, `schema`,
-/// `snapshot-version`, `snapshot-pull`, `shard-pull`, `stats`, `ping`);
+/// `snapshot-version`, `snapshot-pull`, `stats`, `ping`);
 /// the differences are on the write side.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum FabricRole {
@@ -151,6 +158,83 @@ pub(crate) struct PumpContext {
     pub changes: Arc<ChangeWatch>,
     /// The source name an ingest node pushes under.
     pub node_name: String,
+    /// Where each pump registers its peer connections' sockets.
+    pub peers: Arc<PeerSockets>,
+}
+
+/// The sockets of a server's peer connections, one slot per peer, so
+/// shutdown can cut a call blocked on a hung peer.
+#[derive(Default)]
+pub(crate) struct PeerSockets(Mutex<Vec<PeerSocket>>);
+
+#[derive(Default)]
+struct PeerSocket {
+    /// A handle on the peer connection's socket, while there is one.
+    socket: Option<TcpStream>,
+    /// When the call in flight began; `None` between calls.
+    call_began: Option<Instant>,
+    /// Set once shutdown cut a call: the peer is taken to be hung, and a
+    /// later connection to it is shut down at once.
+    cut: bool,
+}
+
+impl PeerSockets {
+    fn slot(&self) -> usize {
+        let mut slots = lock(&self.0);
+        slots.push(PeerSocket::default());
+        slots.len() - 1
+    }
+
+    /// Sets the slot's socket: a new connection's, or `None` once the
+    /// connection is dropped.
+    fn register(&self, slot: usize, socket: Option<TcpStream>) {
+        let slot = &mut lock(&self.0)[slot];
+        if let Some(socket) = socket.as_ref().filter(|_| slot.cut) {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+        slot.socket = socket;
+    }
+
+    /// Marks the slot's call as begun (`true`) or ended (`false`).
+    fn in_call(&self, slot: usize, busy: bool) {
+        lock(&self.0)[slot].call_began = busy.then(Instant::now);
+    }
+
+    /// Shuts down the socket of every call still in flight [`PUMP_GRACE`]
+    /// after the later of `closed` and its own start.
+    fn cut_stalled(&self, closed: Instant) {
+        for slot in lock(&self.0).iter_mut() {
+            let Some(began) = slot.call_began else { continue };
+            if began.max(closed).elapsed() >= PUMP_GRACE {
+                if let Some(socket) = &slot.socket {
+                    let _ = socket.shutdown(Shutdown::Both);
+                }
+                (slot.call_began, slot.cut) = (None, true);
+            }
+        }
+    }
+}
+
+/// How long a peer call may stay unanswered once shutdown has begun (an
+/// ingest node's final flush is one call) before its socket is shut down.
+const PUMP_GRACE: Duration = Duration::from_millis(100);
+
+/// Joins `pumps` once the change watch has closed, cutting every peer
+/// call still unanswered [`PUMP_GRACE`] after the later of now and its own
+/// start.  A pump waiting on its own engine is never cut.
+pub(crate) fn join_pumps(pumps: &mut Vec<JoinHandle<()>>, peers: &PeerSockets) {
+    let closed = Instant::now();
+    while pumps.iter().any(|pump| !pump.is_finished()) {
+        peers.cut_stalled(closed);
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for pump in pumps.drain(..) {
+        let _ = pump.join();
+    }
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Spawns `role`'s pumps, one thread per peer, into `pumps`; a spawn
@@ -166,16 +250,17 @@ pub(crate) fn spawn_pumps(
         FabricRole::Coordinator { replicas, sync_interval } => replicas
             .into_iter()
             .map(|addr| {
-                let (context, replica) = (context.clone(), Peer::new(addr, sync_interval));
+                let replica = Peer::new(addr, sync_interval, &context.peers);
+                let context = context.clone();
                 Box::new(move || offer_snapshots(&context, replica)) as Pump
             })
             .collect(),
         FabricRole::IngestNode { coordinator, push_interval } => {
-            let coordinator = Peer::new(coordinator, push_interval);
+            let coordinator = Peer::new(coordinator, push_interval, &context.peers);
             vec![Box::new(move || push_shards(&context, coordinator))]
         }
         FabricRole::Replica { coordinator: Some(coordinator), pull_interval } => {
-            let coordinator = Peer::new(coordinator, pull_interval);
+            let coordinator = Peer::new(coordinator, pull_interval, &context.peers);
             vec![Box::new(move || pull_snapshots(&context, coordinator))]
         }
     };
@@ -193,10 +278,13 @@ const PEER_DEADLINE: Duration = Duration::from_secs(5);
 const MAX_BACKOFF_FACTOR: u32 = 64;
 
 /// One peer of a pump: a connection opened on first use and kept across
-/// calls, and the backoff the pump waits out after a failed round.
+/// calls (its socket registered for shutdown), and the backoff the pump
+/// waits out after a failed round.
 struct Peer {
     addr: String,
     client: Option<LineClient>,
+    sockets: Arc<PeerSockets>,
+    slot: usize,
     /// The role's interval: the first backoff step.
     interval: Duration,
     /// Consecutive failed rounds.
@@ -208,9 +296,10 @@ struct Peer {
 }
 
 impl Peer {
-    fn new(addr: String, interval: Duration) -> Self {
+    fn new(addr: String, interval: Duration, sockets: &Arc<PeerSockets>) -> Self {
         let jitter_state = RandomState::new().hash_one(&addr);
-        Self { addr, client: None, interval, failures: 0, jitter_state }
+        let (sockets, slot) = (Arc::clone(sockets), sockets.slot());
+        Self { addr, client: None, sockets, slot, interval, failures: 0, jitter_state }
     }
 
     /// Makes one attempt of `op`, connecting first if there is no
@@ -225,12 +314,17 @@ impl Peer {
             Some(client) => client,
             None => {
                 let config = ClientConfig::with_deadline(PEER_DEADLINE);
-                self.client.insert(LineClient::connect_with(&self.addr, &config)?)
+                let client = LineClient::connect_with(&self.addr, &config)?;
+                self.sockets.register(self.slot, Some(client.try_clone_socket()?));
+                self.client.insert(client)
             }
         };
+        self.sockets.in_call(self.slot, true);
         let outcome = op(client);
+        self.sockets.in_call(self.slot, false);
         if matches!(outcome, Err(ref e) if !matches!(e, ServeError::Remote { .. })) {
             self.client = None;
+            self.sockets.register(self.slot, None);
         }
         outcome
     }
@@ -395,9 +489,7 @@ fn pull_newer(context: &PumpContext, coordinator: &mut Peer) -> Result<(), Serve
     if coordinator.call(|c| c.snapshot_version())?.is_none_or(|version| version <= local) {
         return Ok(());
     }
-    // Decoded without building the indexes: the engine builds them as it
-    // applies the snapshot.
-    if let Some((meta, knowledge_base)) = coordinator.call(|c| c.snapshot_pull_unindexed())? {
+    if let Some((meta, knowledge_base)) = coordinator.call(|c| c.snapshot_pull())? {
         let knowledge_base = Box::new(knowledge_base);
         ask(&context.engine, |reply| EngineCommand::SyncSnapshot { meta, knowledge_base, reply });
     }
@@ -422,13 +514,18 @@ fn ask<T: Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::{engine_channel, RecvOutcome};
     use crate::{BucketSpec, RateLimitConfig, ServeConfig, Server};
     use pka_contingency::Schema;
-    use pka_stream::{RefreshPolicy, StreamConfig};
+    use pka_stream::{CountShard, RefreshPolicy, StreamConfig};
     use rand::{Rng, SeedableRng, StdRng};
     use std::time::Instant;
 
     const MS: Duration = Duration::from_millis(1);
+
+    fn test_peer(addr: impl ToString, interval: Duration) -> Peer {
+        Peer::new(addr.to_string(), interval, &Arc::default())
+    }
 
     fn overloaded(retry_after_ms: u64) -> ServeError {
         ServeError::Remote {
@@ -466,8 +563,8 @@ mod tests {
 
     #[test]
     fn peers_draw_independent_jitter_streams() {
-        let mut a = Peer::new("127.0.0.1:1".to_string(), 25 * MS);
-        let mut b = Peer::new("127.0.0.1:1".to_string(), 25 * MS);
+        let mut a = test_peer("127.0.0.1:1", 25 * MS);
+        let mut b = test_peer("127.0.0.1:1", 25 * MS);
         let (da, db): (Vec<f64>, Vec<f64>) =
             (0..16).map(|_| (a.next_draw(), b.next_draw())).unzip();
         assert!(da.iter().chain(&db).all(|d| (0.0..1.0).contains(d)));
@@ -481,7 +578,7 @@ mod tests {
         assert_eq!(full_backoff(interval, 5, Some(80 * MS)), 80 * MS, "not the doubled 320 ms");
         assert_eq!(full_backoff(interval, 0, Some(10_000 * MS)), 640 * MS, "capped at 64×");
 
-        let mut peer = Peer::new("127.0.0.1:1".to_string(), interval);
+        let mut peer = test_peer("127.0.0.1:1", interval);
         for _ in 0..32 {
             let waited = peer.backoff(&Err(overloaded(80))).unwrap();
             assert!(waited <= 80 * MS && waited >= 40 * MS, "hint wait {waited:?}");
@@ -543,7 +640,7 @@ mod tests {
     #[test]
     fn one_call_is_one_attempt_and_only_transport_errors_drop_the_connection() {
         // Nothing listens on port 1: the connect is refused at once.
-        let mut dead = Peer::new("127.0.0.1:1".to_string(), 25 * MS);
+        let mut dead = test_peer("127.0.0.1:1", 25 * MS);
         match dead.call(|c| c.ping()) {
             Err(ServeError::Io(e)) => assert!(!e.to_string().is_empty()),
             other => panic!("expected the refused connect, got {other:?}"),
@@ -553,7 +650,7 @@ mod tests {
         // kernel's backlog does), so the call reaches `op` exactly once and
         // returns its error; the transport error drops the connection.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut hung = Peer::new(listener.local_addr().unwrap().to_string(), 25 * MS);
+        let mut hung = test_peer(listener.local_addr().unwrap(), 25 * MS);
         let mut tries = 0;
         let outcome: Result<(), ServeError> = hung.call(|_| {
             tries += 1;
@@ -569,7 +666,7 @@ mod tests {
         // A structured refusal is the peer's answer: the connection stays.
         let schema = Schema::uniform(&[2, 2]).unwrap().into_shared();
         let server = Server::start(schema, ServeConfig::new()).unwrap();
-        let mut live = Peer::new(server.addr().to_string(), 25 * MS);
+        let mut live = test_peer(server.addr(), 25 * MS);
         match live.call(|c| c.call("no-such-method", crate::protocol::object([]))) {
             Err(ServeError::Remote { code, .. }) => assert_eq!(code, "unknown-method"),
             other => panic!("expected the refusal, got {other:?}"),
@@ -611,6 +708,53 @@ mod tests {
             started.elapsed()
         );
         assert_eq!(control.stats().unwrap().total_ingested, rows.len() as u64);
+        coordinator.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_final_flush_behind_a_slow_engine_still_reaches_a_live_coordinator() {
+        let schema = Schema::uniform(&[2, 2]).unwrap().into_shared();
+        let manual = StreamConfig::new().with_policy(RefreshPolicy::Manual);
+        let role = FabricRole::Coordinator { replicas: Vec::new(), sync_interval: 25 * MS };
+        let serve = ServeConfig::new().with_stream(manual).with_role(role);
+        let coordinator = Server::start(Arc::clone(&schema), serve).unwrap();
+        let rows = vec![vec![0, 1], vec![1, 0], vec![1, 1]];
+        let mut shard = CountShard::new(schema);
+        shard.record_batch(&rows).unwrap();
+
+        // An engine that answers each export well past the grace, as one
+        // busy with a refit or a checkpoint would: the wait is the pump's
+        // own, so it must not count against the peer call that follows.
+        let (engine, queue) = engine_channel(16);
+        let seq = rows.len() as u64;
+        let slow_engine = std::thread::spawn(move || {
+            while let RecvOutcome::Item(entry) = queue.recv(None) {
+                if let EngineCommand::ExportShard { reply } = entry.item {
+                    std::thread::sleep(3 * PUMP_GRACE);
+                    reply(Ok((shard.clone(), seq)));
+                }
+            }
+        });
+        let context = PumpContext {
+            snapshots: SnapshotHandle::new(),
+            engine,
+            changes: Arc::new(ChangeWatch::new()),
+            node_name: "slow-engine".to_string(),
+            peers: Arc::default(),
+        };
+        let role = FabricRole::IngestNode {
+            coordinator: coordinator.addr().to_string(),
+            push_interval: Duration::from_secs(60),
+        };
+        let mut pumps = Vec::new();
+        spawn_pumps(&role, context.clone(), &mut pumps).unwrap();
+        context.changes.close();
+        join_pumps(&mut pumps, &context.peers);
+        drop(context);
+        slow_engine.join().unwrap();
+
+        let stats = LineClient::connect(coordinator.addr()).unwrap().stats().unwrap();
+        assert_eq!(stats.total_ingested, seq, "the final flush was cut");
         coordinator.shutdown().unwrap();
     }
 

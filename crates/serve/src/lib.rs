@@ -68,7 +68,7 @@ pub mod server;
 mod watch;
 
 pub use admission::{Admission, AdmissionCounters, BucketSpec, RateLimitConfig};
-pub use client::{ClientConfig, LineClient, NamedQuery, QueryAnswer, ShardPullAnswer};
+pub use client::{ClientConfig, LineClient, NamedQuery, QueryAnswer};
 pub use error::ServeError;
 pub use fabric::FabricRole;
 pub use protocol::{ErrorCode, Request, DEFAULT_MAX_LINE_BYTES};

@@ -422,8 +422,8 @@ fn invalid_params(message: String) -> RequestError {
 
 /// Decodes a snapshot's `meta` and `knowledge_base` fields: the one
 /// decode a `snapshot-sync` request and a `snapshot-pull` answer share.
-/// The knowledge base comes back without its derived indexes (the engine
-/// rebuilds them, never trusting them from the wire).
+/// An invalid knowledge base fails its checked constructors here
+/// (`invalid-params`); its mass is checked when the engine applies it.
 pub fn snapshot_from_value(value: &Value) -> Result<(SnapshotMeta, KnowledgeBase), RequestError> {
     let meta = value.get("meta").ok_or_else(|| invalid_params("missing `meta`".into()))?;
     let meta = SnapshotMeta::from_value(meta).map_err(stream_error)?;

@@ -25,8 +25,8 @@ use std::time::{Duration, Instant};
 /// Admission class of one engine command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommandClass {
-    /// Rare, operator- or fabric-initiated work (`refresh`, `stats`,
-    /// `shard-pull` export, `snapshot-sync`).  Dequeued before any write
+    /// Rare, operator- or fabric-initiated work (`refresh`, `stats`, an
+    /// ingest node's shard export, `snapshot-sync`).  Dequeued before any write
     /// so an overloaded node can still be inspected and refitted.
     Control,
     /// Steady-state mutation traffic (`ingest`, `shard-push`) — the class

@@ -45,13 +45,15 @@
 //!   engine share one shutdown flag; [`ServerHandle::shutdown`] raises
 //!   it, joins the reactor (which drains and closes every connection),
 //!   closes the change watch and joins the fabric pumps (whose final
-//!   flush still reaches the running engine), then joins the engine
+//!   flush still reaches the running engine; a peer call still
+//!   unanswered a short grace into shutdown has its socket shut down),
+//!   then joins the engine
 //!   thread and returns the engine — if a thread leaked, shutdown would
 //!   hang, which is exactly what the CI smoke test checks with a timeout.
 
 use crate::admission::{Admission, AdmissionCounters, RateLimitConfig};
 use crate::error::ServeError;
-use crate::fabric::{self, FabricRole, PumpContext};
+use crate::fabric::{self, FabricRole, PeerSockets, PumpContext};
 use crate::protocol::{
     self, assignment_to_value, error_line, ok_line, parse_request, rows_from_value, ErrorCode,
     Request, RequestError, DEFAULT_MAX_LINE_BYTES,
@@ -96,8 +98,8 @@ pub struct ServeConfig {
     /// The server's fabric role and the peers its pumps talk to (default
     /// [`FabricRole::Standalone`], which runs no pump).
     pub role: FabricRole,
-    /// Name this node reports as the `source` of its `shard-pull` exports;
-    /// defaults to the bound address.
+    /// Name an ingest node pushes its shard under (the coordinator's
+    /// `source`); defaults to the bound address.
     pub node_name: Option<String>,
     /// Event-loop shards the reactor runs (default 2; clamped to ≥ 1).
     pub loop_shards: usize,
@@ -195,7 +197,7 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the node name reported as this server's `shard-pull` source.
+    /// Sets the name an ingest node pushes its shard under.
     pub fn with_node_name(mut self, node_name: impl Into<String>) -> Self {
         self.node_name = Some(node_name.into());
         self
@@ -558,8 +560,7 @@ pub(crate) enum EngineCommand {
         shard: CountShard,
         reply: Responder<Result<ShardPushSummary, Refusal>>,
     },
-    /// A `shard-pull` export of the engine's local counts (also an ingest
-    /// node's push).
+    /// An export of the engine's local counts, for an ingest node's push.
     ExportShard {
         reply: Responder<Result<(CountShard, u64), Refusal>>,
     },
@@ -578,8 +579,6 @@ struct Shared {
     schema: Arc<Schema>,
     snapshots: SnapshotHandle,
     role: FabricRole,
-    /// Name reported as this node's `shard-pull` source.
-    node_name: String,
     /// Shared with the reactor: raising it drains every reactor thread.
     shutdown: Arc<AtomicBool>,
     max_line_bytes: usize,
@@ -682,7 +681,6 @@ impl Server {
             schema,
             snapshots,
             role: config.role.clone(),
-            node_name: config.node_name.clone().unwrap_or_else(|| addr.to_string()),
             shutdown: Arc::clone(&shutdown),
             max_line_bytes: net_config.max_line_bytes,
             net: Arc::clone(&metrics),
@@ -715,6 +713,7 @@ impl Server {
             changes,
             reactor: Some(reactor),
             pumps: Vec::new(),
+            peers: Arc::default(),
             engine: Some(engine_thread),
         };
         // Spawned last: if a spawn fails, dropping `server` shuts the rest
@@ -723,7 +722,8 @@ impl Server {
             snapshots: server.snapshots(),
             engine: pump_engine,
             changes: Arc::clone(&server.changes),
-            node_name: server.shared.node_name.clone(),
+            node_name: config.node_name.clone().unwrap_or_else(|| addr.to_string()),
+            peers: Arc::clone(&server.peers),
         };
         fabric::spawn_pumps(&config.role, context, &mut server.pumps)?;
         Ok(server)
@@ -739,6 +739,8 @@ pub struct ServerHandle {
     changes: Arc<ChangeWatch>,
     reactor: Option<ReactorHandle>,
     pumps: Vec<JoinHandle<()>>,
+    /// The pumps' peer sockets, for shutdown to cut a stalled call.
+    peers: Arc<PeerSockets>,
     engine: Option<JoinHandle<StreamingEngine>>,
 }
 
@@ -786,7 +788,8 @@ impl ServerHandle {
     /// Joins in dependency order: the reactor drains (no new work), the
     /// change watch closes, the pumps exit (an ingest node's after its
     /// final flush through the still-running engine), and the engine —
-    /// its last sender gone — finishes and cuts its final checkpoint.
+    /// its last sender gone — finishes and cuts its final checkpoint.  A
+    /// peer call left unanswered a short grace into shutdown is cut.
     fn join_threads(&mut self) -> Result<StreamingEngine, ServeError> {
         if let Some(mut reactor) = self.reactor.take() {
             // Blocks until the shutdown flag rises (here, or via a client's
@@ -795,9 +798,7 @@ impl ServerHandle {
             reactor.join();
         }
         self.changes.close();
-        for pump in self.pumps.drain(..) {
-            let _ = pump.join();
-        }
+        fabric::join_pumps(&mut self.pumps, &self.peers);
         let engine = self
             .engine
             .take()
@@ -1542,41 +1543,6 @@ fn dispatch(
                 CommandClass::Write,
                 expiry,
                 EngineCommand::AbsorbShard { source, seq, shard, reply },
-                request,
-            )?;
-            Ok(Dispatched::Deferred)
-        }
-        "shard-pull" => {
-            let id = request.id.clone();
-            let shared = Arc::clone(shared);
-            let reply: Responder<Result<(CountShard, u64), Refusal>> = Box::new(move |outcome| {
-                let line = match outcome {
-                    // The local tuple count doubles as the monotone sequence
-                    // number: local ingestion only ever grows it, so each
-                    // export is tagged with a sequence the coordinator's
-                    // placement map can gate on.
-                    Ok((shard, tuples)) => ok_line(
-                        &id,
-                        protocol::object([
-                            ("format_version", Value::U64(WIRE_FORMAT_VERSION)),
-                            ("source", Value::Str(shared.node_name.clone())),
-                            ("seq", Value::U64(tuples)),
-                            ("tuples", Value::U64(tuples)),
-                            ("shard", Serialize::serialize(&shard)),
-                        ]),
-                    ),
-                    Err(refusal) => {
-                        note_refusal(&shared, &refusal);
-                        error_line(&id, refusal.code, &refusal.message)
-                    }
-                };
-                completion.respond(line);
-            });
-            send_engine(
-                engine_tx,
-                CommandClass::Control,
-                expiry,
-                EngineCommand::ExportShard { reply },
                 request,
             )?;
             Ok(Dispatched::Deferred)

@@ -27,13 +27,13 @@
 use crate::error::StreamError;
 use crate::shard::CountShard;
 use crate::{Result, WIRE_FORMAT_VERSION};
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
 
 /// One source's entry in a checkpointed shard-placement map.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CheckpointSource {
     /// The source's self-declared name (`--name` on the ingest node).
     pub name: String,
@@ -44,7 +44,9 @@ pub struct CheckpointSource {
 }
 
 /// A point-in-time durable image of a coordinator engine's merged state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Its fields decode through their own checked constructors (each shard's
+/// table through [`pka_contingency::ContingencyTable::from_counts`]).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FabricCheckpoint {
     /// The last snapshot version published before this checkpoint (0 if
     /// none was ever published).
@@ -71,63 +73,21 @@ impl FabricCheckpoint {
     /// The wire [`Value`] form, `format_version`-stamped like every other
     /// cross-boundary payload.
     pub fn to_value(&self) -> Value {
-        let sources = self
-            .sources
-            .iter()
-            .map(|source| {
-                Value::Object(vec![
-                    ("name".to_string(), Value::Str(source.name.clone())),
-                    ("seq".to_string(), Value::U64(source.seq)),
-                    ("shard".to_string(), source.shard.serialize()),
-                ])
-            })
-            .collect();
-        let local = match &self.local {
-            Some(shard) => shard.serialize(),
-            None => Value::Null,
+        let Value::Object(mut fields) = Serialize::serialize(self) else {
+            unreachable!("a struct serialises to an object")
         };
-        Value::Object(vec![
-            ("format_version".to_string(), Value::U64(WIRE_FORMAT_VERSION)),
-            ("version".to_string(), Value::U64(self.version)),
-            ("local".to_string(), local),
-            ("sources".to_string(), Value::Array(sources)),
-        ])
+        fields.insert(0, ("format_version".to_string(), Value::U64(WIRE_FORMAT_VERSION)));
+        Value::Object(fields)
     }
 
-    /// Parses and re-validates a checkpoint payload.  Every shard goes
-    /// through [`CountShard::from_value`]'s hostile-payload checks; a
-    /// payload with a foreign `format_version` is refused outright.
+    /// Parses a checkpoint payload; a payload with a foreign
+    /// `format_version` is refused outright, and every shard decodes
+    /// through its checked constructor.
     pub fn from_value(value: &Value) -> Result<Self> {
         crate::shard::check_format_version(value)?;
-        let bad = |reason: &str| StreamError::Durability {
-            reason: format!("malformed checkpoint: {reason}"),
-        };
-        let version =
-            value.get("version").and_then(Value::as_u64).ok_or_else(|| bad("missing version"))?;
-        let local = match value.get("local") {
-            None | Some(Value::Null) => None,
-            Some(shard) => Some(CountShard::from_value(shard)?),
-        };
-        let Some(Value::Array(entries)) = value.get("sources") else {
-            return Err(bad("missing sources array"));
-        };
-        let mut sources = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let name = match entry.get("name") {
-                Some(Value::Str(name)) => name.clone(),
-                _ => return Err(bad("source entry missing name")),
-            };
-            let seq = entry
-                .get("seq")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| bad("source entry missing seq"))?;
-            let shard = entry
-                .get("shard")
-                .ok_or_else(|| bad("source entry missing shard"))
-                .and_then(CountShard::from_value)?;
-            sources.push(CheckpointSource { name, seq, shard });
-        }
-        Ok(Self { version, local, sources })
+        Deserialize::deserialize(value).map_err(|e: serde::Error| StreamError::Durability {
+            reason: format!("malformed checkpoint: {e}"),
+        })
     }
 
     /// Atomically writes the checkpoint to `path` and returns the byte

@@ -530,16 +530,18 @@ impl StreamingEngine {
     /// and reordered deliveries are no-ops and the replica's served
     /// versions stay monotone.
     ///
-    /// The payload is treated as hostile until proven otherwise: the wire
-    /// format stamp, schema identity, metadata consistency and the model's
-    /// probability mass are all checked before anything is published.  The
-    /// evaluator and marginal lattice are rebuilt locally — exactly what a
-    /// local refit would have materialised — and the mass check reads the
-    /// evaluator, so the dense joint is built once.
+    /// The payload is treated as hostile until proven otherwise: decoding
+    /// built the knowledge base through its checked constructors, and the
+    /// wire format stamp, schema identity, metadata consistency and the
+    /// model's probability mass are checked before anything is published.
+    /// The evaluator and marginal lattice are built locally — exactly what
+    /// a local refit would have materialised — and the mass check reads
+    /// the evaluator (nothing renormalises it), so the dense joint is built
+    /// once.
     pub fn apply_synced_snapshot(
         &mut self,
         meta: &SnapshotMeta,
-        mut knowledge_base: KnowledgeBase,
+        knowledge_base: KnowledgeBase,
     ) -> Result<SyncReport> {
         meta.validate_format()?;
         if knowledge_base.schema() != self.schema.as_ref() {
@@ -547,8 +549,6 @@ impl StreamingEngine {
                 reason: "synced snapshot is over a different schema".to_string(),
             });
         }
-        // Derived indexes are never trusted from the wire.
-        knowledge_base.rebuild_indexes();
         if meta.constraints != knowledge_base.constraints().len()
             || meta.attributes != knowledge_base.schema().len()
         {

@@ -179,8 +179,8 @@ fn encode_record(seq: u64, shard: &CountShard) -> Result<Vec<u8>> {
 }
 
 /// Parses one payload; `None` means the record is invalid and the scan must
-/// stop.  The shard goes through [`CountShard::from_value`], which rebuilds
-/// and re-validates the table — a bit-flipped count that still checksums
+/// stop.  The shard goes through [`CountShard::from_value`], whose table
+/// decodes through its checked constructor — a bit-flipped count that still checksums
 /// (possible only pre-checksum, e.g. hand-edited files) cannot smuggle an
 /// inconsistent table into the engine.
 fn decode_payload(bytes: &[u8]) -> Option<(u64, CountShard)> {

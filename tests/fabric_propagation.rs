@@ -11,10 +11,10 @@
 //! `pka-fabric` runs on `SIGTERM`) makes an ingest node's final push
 //! through its still-running engine before the node exits.
 //!
-//! A dead or hung peer costs only its own pump: the last four tests run
+//! A dead or hung peer costs only its own pump: the last seven tests run
 //! the `pka-fabric` default intervals against a port reserved and then
-//! released (dead) or a listener that never accepts (hung), and bound
-//! each delivery and each shutdown at 200 ms.
+//! released (dead) or a listener that never accepts and stays open
+//! (hung), and bound each delivery and each shutdown at 200 ms.
 
 use pka::contingency::{Assignment, Schema};
 use pka::core::{Acquisition, AcquisitionConfig};
@@ -358,28 +358,34 @@ fn a_coordinator_with_a_dead_replica_shuts_down_promptly_after_a_publish() {
 
 #[test]
 fn an_ingest_node_with_a_dead_coordinator_exits_promptly_and_keeps_its_rows() {
+    let dead = format!("127.0.0.1:{}", unused_port());
+    assert_ingest_node_exits_promptly_and_keeps_its_rows(dead, "dead-coordinator");
+}
+
+/// Ingests into a journalled node pushing to `coordinator`, which never
+/// takes the rows; the node must shut down within [`PROMPT`], and a restart
+/// must recover every acknowledged row from its journal.
+fn assert_ingest_node_exits_promptly_and_keeps_its_rows(coordinator: String, tag: &str) {
     let journal = std::env::temp_dir()
-        .join(format!("pka-fabric-propagation-{}-dead-coordinator.journal", std::process::id()));
+        .join(format!("pka-fabric-propagation-{}-{tag}.journal", std::process::id()));
     let _ = std::fs::remove_file(&journal);
     let config = ServeConfig::new()
         .with_node_name("orphan")
         .with_journal(&journal)
         .with_journal_fsync(FsyncPolicy::PerRecord)
-        .with_role(FabricRole::IngestNode {
-            coordinator: format!("127.0.0.1:{}", unused_port()),
-            push_interval: DEFAULT_INTERVAL,
-        });
+        .with_role(FabricRole::IngestNode { coordinator, push_interval: DEFAULT_INTERVAL });
     let node = Server::start(schema(), config.clone()).unwrap();
     let acknowledged = rows(0, 30);
     LineClient::connect(node.addr()).unwrap().ingest(&acknowledged).unwrap();
-    // The push the ingest triggered has failed by now.
+    // The push the ingest triggered has failed (dead) or is blocked in
+    // its read (hung) by now.
     std::thread::sleep(Duration::from_millis(20));
 
-    // The final flush is one attempt against the dead port, then exit.
+    // The final flush is one attempt, then exit.
     let started = Instant::now();
     node.shutdown().unwrap();
     let took = started.elapsed();
-    assert!(took < PROMPT, "shutdown with a dead coordinator took {took:?}");
+    assert!(took < PROMPT, "shutdown beside a {tag} took {took:?}");
 
     // Undelivered, but durable: a restart recovers every acknowledged row.
     let restarted = Server::start(schema(), config).unwrap();
@@ -387,4 +393,48 @@ fn an_ingest_node_with_a_dead_coordinator_exits_promptly_and_keeps_its_rows() {
     assert_eq!(stats.recovered_tuples, acknowledged.len() as u64);
     restarted.shutdown().unwrap();
     let _ = std::fs::remove_file(&journal);
+}
+
+/// A peer that is hung, not dead: the listener stays open but never
+/// accepts, so connects complete in the kernel's backlog and every call
+/// blocks in its read until the 5 s socket deadline.  Shutdown cuts such a
+/// call after a short grace instead of waiting it out.
+fn hung_peer() -> (std::net::TcpListener, String) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    (listener, addr)
+}
+
+#[test]
+fn a_coordinator_beside_a_hung_replica_shuts_down_promptly() {
+    let (_hung, addr) = hung_peer();
+    let coordinator = start_manual_coordinator(vec![addr]);
+    let mut writer = LineClient::connect(coordinator.addr()).unwrap();
+    writer.ingest(&rows(0, 40)).unwrap();
+    writer.refresh().unwrap();
+    // Long enough for the pump's offer to be blocked in its read.
+    std::thread::sleep(Duration::from_millis(20));
+    let started = Instant::now();
+    coordinator.shutdown().unwrap();
+    let took = started.elapsed();
+    assert!(took < PROMPT, "shutdown beside a hung replica took {took:?}");
+}
+
+#[test]
+fn a_replica_beside_a_hung_coordinator_shuts_down_promptly() {
+    let (_hung, addr) = hung_peer();
+    let role = FabricRole::Replica { coordinator: Some(addr), pull_interval: DEFAULT_INTERVAL };
+    let replica = Server::start(schema(), ServeConfig::new().with_role(role)).unwrap();
+    // Long enough for the first poll to be blocked in its read.
+    std::thread::sleep(Duration::from_millis(20));
+    let started = Instant::now();
+    replica.shutdown().unwrap();
+    let took = started.elapsed();
+    assert!(took < PROMPT, "shutdown beside a hung coordinator took {took:?}");
+}
+
+#[test]
+fn an_ingest_node_beside_a_hung_coordinator_exits_promptly_and_keeps_its_rows() {
+    let (_hung, addr) = hung_peer();
+    assert_ingest_node_exits_promptly_and_keeps_its_rows(addr, "hung-coordinator");
 }

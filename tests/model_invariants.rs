@@ -3,7 +3,8 @@
 
 use pka::contingency::{Assignment, ContingencyTable, Schema, VarSet};
 use pka::core::{Acquisition, AcquisitionConfig};
-use pka::maxent::FactorGraph;
+use pka::datagen::{sample_table, sampler::seeded_rng, smoking, survey};
+use pka::maxent::{ConstraintSet, Evaluator, FactorGraph, LogLinearModel, Solver};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -126,5 +127,59 @@ proptest! {
         let ll_independence =
             pka::maxent::metrics::log_loss_table(independence.joint(), &table).unwrap();
         prop_assert!(ll_acquired <= ll_independence + 1e-6);
+    }
+}
+
+/// The solver returns every model normalised to rounding on both kernels,
+/// so nothing downstream renormalises and [`Evaluator::check`] reads a
+/// model's real mass: it accepts every fitted model on both arms and
+/// rejects the same model with its `a0` scaled by six on both.
+#[test]
+fn every_fit_is_normalised_and_only_real_distributions_pass_the_check() {
+    let mut rng = seeded_rng(17);
+    let survey_sample = sample_table(&survey::ground_truth(), 4000, &mut rng);
+    let tables = [
+        smoking::table(),
+        survey_sample,
+        // Perfect correlation: a boundary fit that never converges.
+        ContingencyTable::from_counts(
+            Schema::uniform(&[2, 2]).unwrap().into_shared(),
+            vec![200, 0, 0, 200],
+        )
+        .unwrap(),
+        random_table(vec![5, 40, 13, 2, 31, 8, 19, 27, 1, 44, 9, 16]),
+    ];
+    for table in &tables {
+        for ceiling in [usize::MAX, 0] {
+            let config = AcquisitionConfig::new().with_dense_ceiling(ceiling);
+            let kb = Acquisition::new(config).run(table).unwrap().knowledge_base;
+            let solver = Solver::default().with_dense_ceiling(ceiling);
+            let first_order = ConstraintSet::first_order_from_table(table).unwrap();
+            let fits = [
+                solver.fit(&first_order).unwrap().0,
+                solver.fit(kb.constraints()).unwrap().0,
+                kb.model().clone(),
+            ];
+            for model in &fits {
+                let dense = model.total_mass();
+                let partition = FactorGraph::from_model(model).partition();
+                for (what, mass) in [("dense mass", dense), ("partition", partition)] {
+                    assert!((mass - 1.0).abs() <= 1e-12, "{what} {mass} at ceiling {ceiling}");
+                }
+                assert!(Evaluator::new(model, usize::MAX).check().is_ok());
+                assert!(Evaluator::new(model, 0).check().is_ok());
+
+                let heavy = LogLinearModel::from_factors(
+                    model.shared_schema(),
+                    model.a0() * 6.0,
+                    model.factors().to_vec(),
+                )
+                .unwrap();
+                let dense = Evaluator::new(&heavy, usize::MAX).check().unwrap_err();
+                assert!(dense.contains("(mass 5.9") || dense.contains("(mass 6"), "{dense}");
+                let factored = Evaluator::new(&heavy, 0).check().unwrap_err();
+                assert!(factored.contains("(partition 5.9") || factored.contains("(partition 6"));
+            }
+        }
     }
 }
