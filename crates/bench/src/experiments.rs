@@ -7,7 +7,9 @@
 //! results).
 
 use pka_baselines::{Chi2Miner, EmpiricalModel, IndependenceModel, NaiveBayes, SelectionRule};
-use pka_contingency::{Assignment, ContingencyTable, Marginal, Schema, VarSet};
+use pka_contingency::{
+    Assignment, ContingencyTable, MarginalLattice, MarginalTable, Schema, VarSet,
+};
 use pka_core::{Acquisition, AcquisitionConfig, AcquisitionOutcome, KnowledgeBase, RoundTrace};
 use pka_datagen::{
     sample_dataset, sample_table, sampler::seeded_rng, smoking, survey, PlantedExperiment,
@@ -15,7 +17,7 @@ use pka_datagen::{
 };
 use pka_maxent::{
     is_factored, metrics, solver::Solver, ConstraintSet, ConvergenceCriteria, Evaluator,
-    FactorGraph, IncidenceCache, JointDistribution, LogLinearModel, MarginalLattice, SolveReport,
+    FactorGraph, IncidenceCache, JointDistribution, LogLinearModel, SolveReport,
 };
 use std::sync::Arc;
 
@@ -30,7 +32,7 @@ pub fn fig1_contingency() -> ContingencyTable {
 }
 
 /// Experiment F2: all first- and second-order marginals of Figure 2.
-pub fn fig2_marginals(table: &ContingencyTable) -> Vec<Marginal> {
+pub fn fig2_marginals(table: &ContingencyTable) -> Vec<MarginalTable<u64>> {
     let schema = table.schema();
     let mut out = Vec::new();
     for attr in 0..schema.len() {
@@ -89,17 +91,6 @@ pub fn table2_iteration(table: &ContingencyTable, tolerance: f64) -> SolveReport
         .expect("constraint is consistent");
     let solver = Solver::new(ConvergenceCriteria::new().with_trace().with_tolerance(tolerance));
     solver.fit(&constraints).expect("the paper constraint set is feasible").1
-}
-
-// ---------------------------------------------------------------------------
-// F5/F6 — Appendix A conversion
-// ---------------------------------------------------------------------------
-
-/// Experiment F5/F6: the Appendix-A conversion path measured end to end —
-/// expand the paper table to raw samples, then tabulate them again.
-pub fn fig6_roundtrip() -> ContingencyTable {
-    let dataset = smoking::dataset();
-    dataset.to_table()
 }
 
 // ---------------------------------------------------------------------------
@@ -566,7 +557,7 @@ fn synthetic_counts(schema: &Schema, salt: u64) -> Vec<u64> {
 pub struct QueryEvalWorkload {
     label: &'static str,
     joint: JointDistribution,
-    lattice: MarginalLattice,
+    lattice: MarginalLattice<f64>,
     /// Order-1 and order-2 marginal probes (all of them — the query
     /// population a SPIRIT-style shell mostly answers).
     marginals: Vec<Assignment>,
@@ -597,10 +588,7 @@ impl QueryEvalWorkload {
         let counts = synthetic_counts(&schema, 7);
         let table = ContingencyTable::from_counts(Arc::clone(&schema), counts).expect("valid");
         let joint = JointDistribution::empirical(&table);
-        let lattice = MarginalLattice::build(
-            &Evaluator::Dense(joint.clone()),
-            pka_maxent::DEFAULT_LATTICE_ORDER,
-        );
+        let lattice = Evaluator::Dense(joint.clone()).lattice(pka_maxent::DEFAULT_LATTICE_ORDER);
 
         // Every first- and second-order marginal cell.
         let mut marginals = Vec::new();
@@ -768,7 +756,7 @@ impl QueryEvalWorkload {
 struct DenseSide {
     model: LogLinearModel,
     joint: JointDistribution,
-    lattice: MarginalLattice,
+    lattice: MarginalLattice<f64>,
 }
 
 /// A factored-vs-dense workload at one schema width.
@@ -793,7 +781,7 @@ pub struct WideWorkload {
     constraints: ConstraintSet,
     model: LogLinearModel,
     graph: FactorGraph,
-    lattice: MarginalLattice,
+    lattice: MarginalLattice<f64>,
     dense: Option<DenseSide>,
     /// Order ≤ 2 probes, all covered by the lattice.
     covered: Vec<Assignment>,
@@ -866,10 +854,7 @@ impl WideWorkload {
             .expect("factored fit succeeds");
         assert!(report.converged, "{label}: factored kernel must converge");
         let graph = FactorGraph::from_model(&model);
-        let lattice = MarginalLattice::build(
-            &Evaluator::Factored(graph.clone()),
-            pka_maxent::DEFAULT_LATTICE_ORDER,
-        );
+        let lattice = Evaluator::Factored(graph.clone()).lattice(pka_maxent::DEFAULT_LATTICE_ORDER);
 
         // The dense side only exists below the default ceiling (all sizes
         // here except 2^20), fitted by the CSR kernel as before this PR.
@@ -878,10 +863,8 @@ impl WideWorkload {
                 Solver::new(criteria).fit(&constraints).expect("dense fit succeeds");
             assert!(dense_report.converged, "{label}: dense kernel must converge");
             let joint = dense_model.to_joint();
-            let lattice = MarginalLattice::build(
-                &Evaluator::Dense(joint.clone()),
-                pka_maxent::DEFAULT_LATTICE_ORDER,
-            );
+            let lattice =
+                Evaluator::Dense(joint.clone()).lattice(pka_maxent::DEFAULT_LATTICE_ORDER);
             DenseSide { model: dense_model, joint, lattice }
         });
 
@@ -1082,7 +1065,7 @@ mod tests {
         let marginals = fig2_marginals(&t);
         // 3 first-order + 3 second-order + the grand total.
         assert_eq!(marginals.len(), 7);
-        assert!(marginals.iter().all(|m| m.sum() == smoking::TOTAL));
+        assert!(marginals.iter().all(|m| m.cells().iter().sum::<u64>() == smoking::TOTAL));
     }
 
     #[test]

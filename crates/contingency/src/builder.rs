@@ -34,14 +34,6 @@ impl TableBuilder {
         self
     }
 
-    /// Adds every sample of an iterator.
-    pub fn add_samples<'a, I: IntoIterator<Item = &'a Sample>>(&mut self, samples: I) -> &mut Self {
-        for s in samples {
-            self.add_sample(s);
-        }
-        self
-    }
-
     /// Number of samples rejected so far.
     pub fn skipped(&self) -> usize {
         self.skipped

@@ -4,7 +4,7 @@
 //! The `reproduce` binary of the benchmark crate uses these helpers to print
 //! the paper's figures; they are also handy for debugging acquired models.
 
-use crate::marginal::Marginal;
+use crate::marginal::MarginalTable;
 use crate::table::ContingencyTable;
 use crate::varset::VarSet;
 use std::fmt::Write as _;
@@ -50,15 +50,11 @@ pub fn render_two_way(table: &ContingencyTable, rows: usize, cols: usize) -> Str
     for (ri, rname) in row_attr.values().iter().enumerate() {
         let _ = write!(out, "{rname:row_label_width$} |");
         for ci in 0..col_attr.cardinality() {
-            // Marginal stores values in ascending attribute order.
-            let count = if rows < cols {
-                m.count_by_values(&[ri, ci])
-            } else {
-                m.count_by_values(&[ci, ri])
-            };
+            // Marginal tables store values in ascending attribute order.
+            let count = if rows < cols { m.get(&[ri, ci]) } else { m.get(&[ci, ri]) };
             let _ = write!(out, " {count:>width$}");
         }
-        let _ = writeln!(out, " | {:>width$}", row_m.count_by_values(&[ri]));
+        let _ = writeln!(out, " | {:>width$}", row_m.get(&[ri]));
     }
     let _ = writeln!(
         out,
@@ -67,14 +63,14 @@ pub fn render_two_way(table: &ContingencyTable, rows: usize, cols: usize) -> Str
     );
     let _ = write!(out, "{:row_label_width$} |", "total");
     for ci in 0..col_attr.cardinality() {
-        let _ = write!(out, " {:>width$}", col_m.count_by_values(&[ci]));
+        let _ = write!(out, " {:>width$}", col_m.get(&[ci]));
     }
     let _ = writeln!(out, " | {:>width$}", table.total());
     out
 }
 
 /// Renders a marginal (any order) as a flat list of labelled counts.
-pub fn render_marginal(table: &ContingencyTable, marginal: &Marginal) -> String {
+pub fn render_marginal(table: &ContingencyTable, marginal: &MarginalTable<u64>) -> String {
     let schema = table.schema();
     let mut out = String::new();
     for (assignment, count) in marginal.assignments() {

@@ -19,8 +19,11 @@
 //! * [`Sample`] and [`Dataset`] — raw observations in attribute-tuple form
 //!   (Figure 5 / Figure 6 of the memo).
 //! * [`ContingencyTable`] — dense counts over the full cross-product with
-//!   mixed-radix cell indexing, plus marginalisation ([`Marginal`],
-//!   Figure 2 / Eqs. 1–6).
+//!   mixed-radix cell indexing.
+//! * [`MarginalTable`] and [`MarginalLattice`] — the Figure 2 margins
+//!   (Eqs. 1–6): one table summed down to a subset of the attributes, and
+//!   every such table up to a cutoff order, for observed counts and for
+//!   model probabilities alike ([`marginal`]).
 //! * [`VarSet`] and [`Assignment`] — compact descriptions of attribute
 //!   subsets and value assignments on them; these are the vocabulary used by
 //!   the maximum-entropy and significance crates to talk about constraints
@@ -45,7 +48,7 @@
 //! let table = data.to_table();
 //! assert_eq!(table.total(), 2);
 //! let marginal = table.marginal(VarSet::singleton(1)); // over "cancer"
-//! assert_eq!(marginal.count_by_values(&[0]), 1);       // one "yes"
+//! assert_eq!(marginal.get(&[0]), 1);                   // one "yes"
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,7 +61,6 @@ pub mod csv;
 pub mod dataset;
 pub mod display;
 pub mod error;
-pub mod lattice;
 pub mod marginal;
 pub mod sample;
 pub mod schema;
@@ -69,8 +71,7 @@ pub use attribute::Attribute;
 pub use config::Assignment;
 pub use dataset::Dataset;
 pub use error::ContingencyError;
-pub use lattice::{lattice_plan, LatticeParent, LatticeStep};
-pub use marginal::{Marginal, MarginalTables};
+pub use marginal::{MarginalLattice, MarginalTable, MAX_DENSE_LOOKUP_VARS};
 pub use sample::Sample;
 pub use schema::Schema;
 pub use table::ContingencyTable;

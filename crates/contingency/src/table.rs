@@ -1,7 +1,7 @@
 //! Dense contingency tables — the memo's `N_{ijk…}` cell counts.
 
 use crate::config::Assignment;
-use crate::marginal::Marginal;
+use crate::marginal::{tabulate, MarginalLattice, MarginalTable};
 use crate::sample::Sample;
 use crate::schema::Schema;
 use crate::varset::VarSet;
@@ -196,8 +196,19 @@ impl ContingencyTable {
 
     /// Builds the whole marginal table over a variable subset (summing out
     /// everything else), the operation behind Figure 2 of the memo.
-    pub fn marginal(&self, vars: VarSet) -> Marginal {
-        Marginal::from_table(self, vars)
+    pub fn marginal(&self, vars: VarSet) -> MarginalTable<u64> {
+        let vars = vars.intersection(self.schema.all_vars());
+        let cells = tabulate(self, &[vars]).pop().expect("one table per variable set");
+        MarginalTable::new(&self.schema, vars, cells)
+    }
+
+    /// Every marginal count table up to order `max_order`, keyed by variable
+    /// set: the top-order tables tabulated in one pass over the observed
+    /// cells, every smaller one summed down from its cheapest parent — the
+    /// memo's Figure 2 margins, computed once so that every later count is
+    /// a lookup.
+    pub fn lattice(&self, max_order: usize) -> MarginalLattice<u64> {
+        MarginalLattice::build(&self.schema, max_order, |top| tabulate(self, top))
     }
 
     /// Iterates over `(full values, count)` for every cell, including empty

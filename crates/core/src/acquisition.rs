@@ -6,7 +6,7 @@ use crate::error::CoreError;
 use crate::knowledge_base::KnowledgeBase;
 use crate::trace::{AcquisitionTrace, CellEvaluation, RoundTrace};
 use crate::Result;
-use pka_contingency::{Assignment, ContingencyTable, MarginalTables, VarSet};
+use pka_contingency::{Assignment, ContingencyTable, VarSet};
 use pka_maxent::{ConstraintSet, Evaluator, IncidenceCache, LogLinearModel, Solver};
 use pka_significance::{KnownCells, MessageLengthTest, RangeContext};
 use std::time::{Duration, Instant};
@@ -213,10 +213,10 @@ impl Acquisition {
         let max_order = self.config.effective_max_order(schema.len());
 
         // Every count the search reads — a candidate's own and the known
-        // marginals that bound it (Eq. 41) — comes from these tables, built
-        // in one pass over the observed cells.  Candidates at order k and
-        // their proper marginals span orders 1..=max_order.
-        let tables = MarginalTables::up_to_order(table, max_order);
+        // marginals that bound it (Eq. 41) — comes from the observed count
+        // lattice.  Candidates at order k and their proper marginals span
+        // orders 1..=max_order.
+        let observed = table.lattice(max_order);
         // The higher-order constraint cells, indexed for Eq. 41: at order k
         // the ones below k are the known marginals and those at k are the
         // cells already found at this order.
@@ -248,7 +248,7 @@ impl Acquisition {
                     break;
                 }
 
-                let range_ctx = RangeContext::new(&tables, &known, &known);
+                let range_ctx = RangeContext::new(&observed, &known, &known);
 
                 // One evaluator per round; every candidate varset then gets
                 // one marginal table — a pass over the model's dense image
@@ -269,7 +269,7 @@ impl Acquisition {
                     // layout of `configurations`, so the configuration
                     // index addresses both.
                     let marginal = evaluator.marginal(vars);
-                    let counts = tables.get(vars).expect("tabulated up to max_order").counts();
+                    let counts = observed.table(vars).expect("tabulated up to max_order").cells();
                     let ranges = range_ctx.ranges_over(vars);
                     for config_index in 0..schema.cell_count_of(vars) {
                         if known.contains(vars, config_index) {

@@ -3,10 +3,10 @@
 use crate::error::CoreError;
 use crate::query::{bayes, Query, QueryResult};
 use crate::Result;
-use pka_contingency::{Assignment, Schema};
+use pka_contingency::{Assignment, MarginalLattice, Schema};
 use pka_maxent::{
     Constraint, ConstraintSet, EvalPath, Evaluator, FactorGraph, JointDistribution, LogLinearModel,
-    MarginalLattice, DEFAULT_DENSE_CEILING,
+    DEFAULT_DENSE_CEILING,
 };
 use serde::{Deserialize, Serialize, Value};
 use std::borrow::Cow;
@@ -39,7 +39,7 @@ pub struct KnowledgeBase {
     model: LogLinearModel,
     sample_size: u64,
     #[serde(skip)]
-    lattice: Option<Arc<MarginalLattice>>,
+    lattice: Option<Arc<MarginalLattice<f64>>>,
     #[serde(skip)]
     evaluator: OnceLock<Arc<Evaluator>>,
 }
@@ -92,7 +92,7 @@ impl KnowledgeBase {
     /// lookup and every other one takes the evaluator's path.
     pub fn with_evaluation(mut self, lattice_order: usize, dense_ceiling: usize) -> Self {
         let evaluator = Evaluator::new(&self.model, dense_ceiling);
-        self.lattice = Some(Arc::new(MarginalLattice::build(&evaluator, lattice_order)));
+        self.lattice = Some(Arc::new(evaluator.lattice(lattice_order)));
         self.evaluator = OnceLock::from(Arc::new(evaluator));
         self
     }
@@ -113,7 +113,7 @@ impl KnowledgeBase {
     }
 
     /// The materialised marginal lattice, if any.
-    pub fn lattice(&self) -> Option<&MarginalLattice> {
+    pub fn lattice(&self) -> Option<&MarginalLattice<f64>> {
         self.lattice.as_deref()
     }
 

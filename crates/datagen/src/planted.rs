@@ -7,7 +7,7 @@
 //! acquisition run should discover (given enough samples), so recovery can
 //! be measured as the fraction of planted cells found.
 
-use pka_contingency::{Assignment, Schema, VarSet};
+use pka_contingency::{Assignment, Schema};
 use pka_maxent::JointDistribution;
 use rand::prelude::*;
 use std::sync::Arc;
@@ -76,11 +76,6 @@ impl PlantedExperiment {
         }
 
         Self { joint: JointDistribution::from_unnormalized(schema, weights), planted }
-    }
-
-    /// The variable sets carrying planted structure.
-    pub fn planted_varsets(&self) -> Vec<VarSet> {
-        self.planted.iter().map(|p| p.assignment.vars()).collect()
     }
 
     /// Fraction of planted interactions whose *variable set* appears among

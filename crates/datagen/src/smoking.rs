@@ -76,15 +76,15 @@ mod tests {
     fn figure_2_marginals() {
         let t = table();
         let a = t.marginal(VarSet::singleton(SMOKING));
-        assert_eq!(a.count_by_values(&[0]), 1290);
-        assert_eq!(a.count_by_values(&[1]), 1133);
-        assert_eq!(a.count_by_values(&[2]), 1005);
+        assert_eq!(a.get(&[0]), 1290);
+        assert_eq!(a.get(&[1]), 1133);
+        assert_eq!(a.get(&[2]), 1005);
         let b = t.marginal(VarSet::singleton(CANCER));
-        assert_eq!(b.count_by_values(&[0]), 433);
-        assert_eq!(b.count_by_values(&[1]), 2995);
+        assert_eq!(b.get(&[0]), 433);
+        assert_eq!(b.get(&[1]), 2995);
         let c = t.marginal(VarSet::singleton(FAMILY_HISTORY));
-        assert_eq!(c.count_by_values(&[0]), 1780);
-        assert_eq!(c.count_by_values(&[1]), 1648);
+        assert_eq!(c.get(&[0]), 1780);
+        assert_eq!(c.get(&[1]), 1648);
         // The memo's N^AC_12 = 750, the first constraint it discovers.
         assert_eq!(
             t.count_matching(&Assignment::from_pairs([(SMOKING, 0), (FAMILY_HISTORY, 1)])),

@@ -358,7 +358,7 @@ impl FactorGraph {
     ///
     /// Values are in row-major order over the ascending member attributes
     /// with the last member varying fastest: the same layout
-    /// [`crate::MarginalTable`] stores and
+    /// [`pka_contingency::MarginalTable`] stores and
     /// [`pka_contingency::Schema::configurations`] enumerates, so the result
     /// can be zipped against either directly.  A model with zero total mass
     /// yields an all-zero table.

@@ -28,7 +28,8 @@
 //!   elimination, never materialising the full joint.
 //! * [`Evaluator`] — the one way a fitted model is turned into marginal
 //!   probabilities: its dense joint at or below the dense ceiling, its
-//!   factor graph above it ([`is_factored`] is the one comparison).
+//!   factor graph above it ([`is_factored`] is the one comparison), and
+//!   its marginal lattice ([`Evaluator::lattice`]).
 //! * [`JointDistribution`], [`entropy`], [`metrics`] — dense distributions,
 //!   entropy / divergence / log-loss utilities used by the evaluation
 //!   harness.
@@ -43,7 +44,6 @@ pub mod entropy;
 pub mod error;
 pub mod evaluator;
 pub mod joint;
-pub mod lattice;
 pub mod metrics;
 pub mod model;
 pub mod solver;
@@ -52,9 +52,10 @@ pub use constraint::{Constraint, ConstraintSet};
 pub use convergence::{ConvergenceCriteria, IterationRecord, SolveReport};
 pub use elimination::FactorGraph;
 pub use error::MaxEntError;
-pub use evaluator::{is_factored, EvalPath, Evaluator, DEFAULT_DENSE_CEILING};
+pub use evaluator::{
+    is_factored, EvalPath, Evaluator, DEFAULT_DENSE_CEILING, DEFAULT_LATTICE_ORDER,
+};
 pub use joint::JointDistribution;
-pub use lattice::{MarginalLattice, MarginalTable, DEFAULT_LATTICE_ORDER};
 pub use model::LogLinearModel;
 pub use solver::{fit, fit_with_initial, CacheStats, CsrIncidence, IncidenceCache, Solver};
 

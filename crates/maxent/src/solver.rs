@@ -502,7 +502,7 @@ impl Solver {
         let table_indices: Vec<usize> = constraints
             .constraints()
             .iter()
-            .map(|c| marginal_table_index(&schema, &c.assignment))
+            .map(|c| schema.config_index(c.assignment.vars(), c.assignment.values()))
             .collect();
 
         let mut graph = FactorGraph::from_model(&model);
@@ -590,17 +590,6 @@ impl Solver {
         }
         Ok((model, SolveReport { iterations, max_violation, converged: false, trace }))
     }
-}
-
-/// Row-major index of a constraint's configuration inside the marginal
-/// table over its variable set (ascending members, last member fastest —
-/// the [`FactorGraph::marginal`] layout).
-fn marginal_table_index(schema: &Schema, assignment: &Assignment) -> usize {
-    let mut idx = 0usize;
-    for (attr, &v) in assignment.vars().iter().zip(assignment.values()) {
-        idx = idx * schema.cardinality(attr).expect("constraint attrs in schema") + v;
-    }
-    idx
 }
 
 /// Folds the current partition sum into `a0`, keeping model and graph in

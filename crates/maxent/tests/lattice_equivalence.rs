@@ -3,10 +3,11 @@
 //! assignment of order ≤ k the three evaluation paths agree to 1e-12;
 //! every materialised table is a probability distribution; and varsets
 //! above the cutoff order are *not* covered, so callers exercise the
-//! stride-walk fallback there.
+//! stride-walk fallback there.  Dense and factored evaluators of one model
+//! build the same lattice to within 1e-9.
 
-use pka_contingency::{Assignment, Schema, VarSet};
-use pka_maxent::{Evaluator, FactorGraph, JointDistribution, LogLinearModel, MarginalLattice};
+use pka_contingency::{Assignment, Attribute, ContingencyTable, MarginalLattice, Schema, VarSet};
+use pka_maxent::{Evaluator, FactorGraph, JointDistribution, LogLinearModel};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -14,8 +15,92 @@ use std::sync::Arc;
 const FACTORED_TOL: f64 = 1e-9;
 
 /// The lattice of an explicit joint, built through the dense evaluator.
-fn lattice_of(joint: &JointDistribution, k: usize) -> MarginalLattice {
-    MarginalLattice::build(&Evaluator::Dense(joint.clone()), k)
+fn lattice_of(joint: &JointDistribution, k: usize) -> MarginalLattice<f64> {
+    Evaluator::Dense(joint.clone()).lattice(k)
+}
+
+/// The memo's Figure 1 table as an empirical joint.
+fn paper_joint() -> JointDistribution {
+    let schema = Schema::new(vec![
+        Attribute::new("smoking", ["smoker", "non-smoker", "married-to-smoker"]),
+        Attribute::yes_no("cancer"),
+        Attribute::yes_no("family-history"),
+    ])
+    .unwrap()
+    .into_shared();
+    let t = ContingencyTable::from_counts(
+        schema,
+        vec![130, 110, 410, 640, 62, 31, 580, 460, 78, 22, 520, 385],
+    )
+    .unwrap();
+    JointDistribution::empirical(&t)
+}
+
+#[test]
+fn every_table_agrees_with_the_stride_walk_and_sums_to_one() {
+    let joint = paper_joint();
+    let lattice = lattice_of(&joint, 3);
+    assert_eq!(lattice.table_count(), 8);
+    for vars in (0..=3).flat_map(|m| joint.schema().all_vars().subsets_of_size(m)) {
+        let table = lattice.table(vars).unwrap();
+        let total: f64 = table.cells().iter().sum();
+        assert!((total - 1.0).abs() < 1e-9, "table {vars} sums to {total}");
+        for values in joint.schema().configurations(vars) {
+            let a = Assignment::new(vars, values);
+            assert!((lattice.probability(&a).unwrap() - joint.probability(&a)).abs() < 1e-12);
+        }
+    }
+}
+
+#[test]
+fn bayes_identity_resolves_from_lattice_lookups() {
+    // The conditional path the serve layer and KnowledgeBase use: evidence,
+    // merged and prior each one lattice lookup.
+    let lattice = lattice_of(&paper_joint(), 2);
+    let target = Assignment::single(1, 0);
+    let evidence = Assignment::single(0, 0);
+    let merged = target.merge(&evidence).unwrap();
+    let p = lattice.probability(&merged).unwrap() / lattice.probability(&evidence).unwrap();
+    assert!((p - 240.0 / 1290.0).abs() < 1e-12);
+    // An order-3 merge is uncovered, so Bayes' identity falls back to the
+    // stride walk for its numerator.
+    let wide = Assignment::from_pairs([(1, 0), (2, 0)]);
+    assert_eq!(lattice.probability(&wide.merge(&evidence).unwrap()), None);
+}
+
+#[test]
+fn wide_schemas_answer_identically_on_both_evaluators() {
+    // 17 binary attributes, one past the dense lookup cap: lookups route
+    // through the hash map on both builds.  The dense joint (2^17 cells) is
+    // still small enough to cross-check against.
+    let attrs = pka_contingency::MAX_DENSE_LOOKUP_VARS + 1;
+    let schema = Schema::uniform(&vec![2; attrs]).unwrap().into_shared();
+    let factors = vec![
+        (Assignment::from_pairs([(0, 1), (16, 1)]), 3.0),
+        (Assignment::from_pairs([(5, 0), (9, 1)]), 0.25),
+        (Assignment::single(11, 1), 2.0),
+    ];
+    let mut model = LogLinearModel::from_factors(schema, 1.0, factors).unwrap();
+    model.normalize().unwrap();
+    let factored = Evaluator::Factored(FactorGraph::from_model(&model)).lattice(2);
+    let joint = model.to_joint();
+    let dense = lattice_of(&joint, 2);
+    let probes = [
+        Assignment::single(0, 1),
+        Assignment::single(16, 0),
+        Assignment::from_pairs([(0, 1), (16, 1)]),
+        Assignment::from_pairs([(5, 0), (9, 1)]),
+        Assignment::from_pairs([(3, 0), (11, 1)]),
+        Assignment::empty(),
+    ];
+    for probe in &probes {
+        let fast = factored.probability(probe).unwrap();
+        let truth = joint.probability(probe);
+        assert!((fast - truth).abs() < FACTORED_TOL, "probe {probe:?}: {fast} vs {truth}");
+        assert!((fast - dense.probability(probe).unwrap()).abs() < FACTORED_TOL);
+    }
+    assert_eq!(factored.probability(&Assignment::from_pairs([(0, 0), (1, 0), (2, 0)])), None);
+    assert_eq!(factored.probability(&Assignment::single(attrs, 0)), None);
 }
 
 /// Reference implementation: scan every cell and test membership.
@@ -91,8 +176,8 @@ proptest! {
             for vars in schema.all_vars().subsets_of_size(m) {
                 let table = lattice.table(vars).unwrap();
                 prop_assert_eq!(table.vars(), vars);
-                prop_assert!(table.probabilities().iter().all(|&p| p >= 0.0));
-                let total: f64 = table.probabilities().iter().sum();
+                prop_assert!(table.cells().iter().all(|&p| p >= 0.0));
+                let total: f64 = table.cells().iter().sum();
                 prop_assert!((total - 1.0).abs() < 1e-9, "table {} sums to {}", vars, total);
             }
         }
@@ -141,8 +226,8 @@ proptest! {
         let graph = FactorGraph::from_model(&model);
         let dense = Evaluator::new(&model, usize::MAX);
         let factored = Evaluator::new(&model, 0);
-        let from_joint = MarginalLattice::build(&dense, 2);
-        let from_graph = MarginalLattice::build(&factored, 2);
+        let from_joint = dense.lattice(2);
+        let from_graph = factored.lattice(2);
 
         for bits in 1u32..(1 << schema.len()) {
             let vars = VarSet::from_bits(bits);
@@ -155,8 +240,8 @@ proptest! {
             let factored_table = from_graph.table(vars).expect("covered");
             for ((g, d), f) in table
                 .iter()
-                .zip(dense_table.probabilities())
-                .zip(factored_table.probabilities())
+                .zip(dense_table.cells())
+                .zip(factored_table.cells())
             {
                 prop_assert!((g - d).abs() <= FACTORED_TOL, "graph {} vs dense lattice {}", g, d);
                 prop_assert!((g - f).abs() <= FACTORED_TOL, "graph {} vs factored lattice {}", g, f);
@@ -215,8 +300,8 @@ proptest! {
             LogLinearModel::from_factors(Arc::clone(&schema), 1.0, factors).unwrap();
         model.normalize().unwrap();
 
-        let dense = MarginalLattice::build(&Evaluator::new(&model, usize::MAX), order);
-        let factored = MarginalLattice::build(&Evaluator::new(&model, 0), order);
+        let dense = Evaluator::new(&model, usize::MAX).lattice(order);
+        let factored = Evaluator::new(&model, 0).lattice(order);
         prop_assert_eq!(dense.table_count(), factored.table_count());
         prop_assert_eq!(dense.total_cells(), factored.total_cells());
 
@@ -226,7 +311,7 @@ proptest! {
             let (Some(a), Some(b)) = (dense.table(vars), factored.table(vars)) else {
                 continue;
             };
-            for (x, y) in a.probabilities().iter().zip(b.probabilities()) {
+            for (x, y) in a.cells().iter().zip(b.cells()) {
                 prop_assert!((x - y).abs() <= FACTORED_TOL, "table {}: {} vs {}", vars, x, y);
             }
         }

@@ -232,8 +232,7 @@ impl LineClient {
                     }
                 };
                 let values = match a.get("values") {
-                    Some(values) => Vec::<String>::deserialize(values)
-                        .map_err(|e| ServeError::BadResponse { reason: e.to_string() })?,
+                    Some(values) => decode(values)?,
                     None => Vec::new(),
                 };
                 Ok((name, values))
@@ -249,9 +248,7 @@ impl LineClient {
     ) -> Result<QueryAnswer, ServeError> {
         let params =
             object([("target", names_object(target)), ("evidence", names_object(evidence))]);
-        let result = self.call("query", params)?;
-        QueryAnswer::deserialize(&result)
-            .map_err(|e| ServeError::BadResponse { reason: e.to_string() })
+        decode(&self.call("query", params)?)
     }
 
     /// `query-batch`: evaluates a whole batch of name-based queries with
@@ -295,22 +292,7 @@ impl LineClient {
             .iter()
             .zip(queries)
             .map(|(entry, &(target, evidence))| match entry.get("error") {
-                Some(error) => {
-                    let field = |name: &str| -> String {
-                        error
-                            .get(name)
-                            .and_then(|v| match v {
-                                Value::Str(s) => Some(s.clone()),
-                                _ => None,
-                            })
-                            .unwrap_or_default()
-                    };
-                    Err(ServeError::Remote {
-                        code: field("code"),
-                        message: field("message"),
-                        retry_after_ms: None,
-                    })
-                }
+                Some(error) => Err(remote_error(error)),
                 None => {
                     // A data entry is the positional row `[probability,
                     // joint, evidence, prior, lift]`.
@@ -363,38 +345,34 @@ impl LineClient {
                 .map(|row| Value::Array(row.iter().map(|&v| Value::U64(v as u64)).collect()))
                 .collect(),
         );
-        let result = self.call("ingest", object([("rows", rows_value)]))?;
-        IngestSummary::deserialize(&result)
-            .map_err(|e| ServeError::BadResponse { reason: e.to_string() })
+        decode(&self.call("ingest", object([("rows", rows_value)]))?)
     }
 
     /// `refresh`: force a refit now.
     pub fn refresh(&mut self) -> Result<RefitSummary, ServeError> {
-        let result = self.call("refresh", object([]))?;
-        RefitSummary::deserialize(&result)
-            .map_err(|e| ServeError::BadResponse { reason: e.to_string() })
+        decode(&self.call("refresh", object([]))?)
     }
 
     /// `stats`: engine counters (the full raw value is available via
     /// [`LineClient::call`]).
     pub fn stats(&mut self) -> Result<EngineStats, ServeError> {
         let result = self.call("stats", object([]))?;
-        let engine = result
-            .get("engine")
-            .ok_or_else(|| ServeError::BadResponse { reason: "missing `engine`".into() })?;
-        EngineStats::deserialize(engine)
-            .map_err(|e| ServeError::BadResponse { reason: e.to_string() })
+        decode(
+            result
+                .get("engine")
+                .ok_or_else(|| ServeError::BadResponse { reason: "missing `engine`".into() })?,
+        )
     }
 
     /// `stats`: connection-side counters (the `server` object), including
     /// the lattice hit/miss totals of the query fast path.
     pub fn server_stats(&mut self) -> Result<ServerStats, ServeError> {
         let result = self.call("stats", object([]))?;
-        let server = result
-            .get("server")
-            .ok_or_else(|| ServeError::BadResponse { reason: "missing `server`".into() })?;
-        ServerStats::deserialize(server)
-            .map_err(|e| ServeError::BadResponse { reason: e.to_string() })
+        decode(
+            result
+                .get("server")
+                .ok_or_else(|| ServeError::BadResponse { reason: "missing `server`".into() })?,
+        )
     }
 
     /// `snapshot-version`: the latest published version, if any.
@@ -421,9 +399,7 @@ impl LineClient {
             ("seq", Value::U64(seq)),
             ("shard", Serialize::serialize(shard)),
         ]);
-        let result = self.call("shard-push", params)?;
-        crate::server::ShardPushSummary::deserialize(&result)
-            .map_err(|e| ServeError::BadResponse { reason: e.to_string() })
+        decode(&self.call("shard-push", params)?)
     }
 
     /// `snapshot-sync`: offers a snapshot (meta + knowledge base) to a
@@ -438,9 +414,7 @@ impl LineClient {
             ("meta", Serialize::serialize(meta)),
             ("knowledge_base", Serialize::serialize(knowledge_base)),
         ]);
-        let result = self.call("snapshot-sync", params)?;
-        SyncSummary::deserialize(&result)
-            .map_err(|e| ServeError::BadResponse { reason: e.to_string() })
+        decode(&self.call("snapshot-sync", params)?)
     }
 
     /// A second handle on this client's socket, to cut a blocked call.
@@ -509,26 +483,31 @@ impl LineClient {
                 _ => Value::Null,
             }),
             Some(Value::Bool(false)) => {
-                let error = response.get("error");
-                let field = |name: &str| -> String {
-                    error
-                        .and_then(|e| e.get(name))
-                        .and_then(|v| match v {
-                            Value::Str(s) => Some(s.clone()),
-                            _ => None,
-                        })
-                        .unwrap_or_default()
-                };
-                let retry_after_ms =
-                    error.and_then(|e| e.get("retry_after_ms")).and_then(Value::as_u64);
-                Err(ServeError::Remote {
-                    code: field("code"),
-                    message: field("message"),
-                    retry_after_ms,
-                })
+                Err(remote_error(response.get("error").unwrap_or(&Value::Null)))
             }
             _ => Err(ServeError::BadResponse { reason: "response has no `ok` field".into() }),
         }
+    }
+}
+
+/// Decodes a response value as `T`; a shape mismatch is a
+/// [`ServeError::BadResponse`].
+fn decode<T: Deserialize>(value: &Value) -> Result<T, ServeError> {
+    T::deserialize(value).map_err(|e| ServeError::BadResponse { reason: e.to_string() })
+}
+
+/// The [`ServeError::Remote`] an `{code, message, retry_after_ms}` error
+/// object describes; a missing or non-string `code`/`message` reads as
+/// empty.
+fn remote_error(error: &Value) -> ServeError {
+    let field = |name: &str| match error.get(name) {
+        Some(Value::Str(s)) => s.clone(),
+        _ => String::new(),
+    };
+    ServeError::Remote {
+        code: field("code"),
+        message: field("message"),
+        retry_after_ms: error.get("retry_after_ms").and_then(Value::as_u64),
     }
 }
 

@@ -153,13 +153,6 @@ impl Default for DurabilityConfig {
     }
 }
 
-impl DurabilityConfig {
-    /// True when neither journal nor checkpoint is configured.
-    pub fn is_off(&self) -> bool {
-        self.journal_path.is_none() && self.checkpoint_path.is_none()
-    }
-}
-
 impl ServeConfig {
     /// Defaults: loopback, ephemeral port, default engine, 1 MiB lines,
     /// 2 loop shards, 8192 connections, 60 s idle timeout.

@@ -14,7 +14,7 @@
 //! to flip significance decisions.
 
 use crate::error::SignificanceError;
-use crate::special::{ln_choose, ln_gamma};
+use crate::special::ln_choose;
 use crate::Result;
 use serde::{Deserialize, Serialize};
 
@@ -137,15 +137,6 @@ impl Binomial {
             }
         }
         h
-    }
-
-    /// Stirling-approximation check value for `ln n!`; exposed for the
-    /// numeric tests of the special-function layer.
-    pub fn ln_factorial_stirling(n: u64) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        ln_gamma(n as f64 + 1.0)
     }
 }
 

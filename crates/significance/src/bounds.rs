@@ -10,7 +10,7 @@
 //! remaining free cell, its value is completely determined and
 //! `p(D | H2) = 1`.
 
-use pka_contingency::{Assignment, MarginalTables, Schema, VarSet};
+use pka_contingency::{Assignment, MarginalLattice, MarginalTable, Schema, VarSet};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -74,7 +74,7 @@ impl KnownCells {
 pub struct RangeContext<'a> {
     /// Observed marginal tables over every candidate variable set and each
     /// of its proper subsets.
-    observed: &'a MarginalTables,
+    observed: &'a MarginalLattice<u64>,
     /// Constraints known before this order started: the first-order
     /// marginals are implicit and never need to be listed; this set carries
     /// the *higher-order* constraints (found significant or supplied as
@@ -89,7 +89,7 @@ pub struct RangeContext<'a> {
 impl<'a> RangeContext<'a> {
     /// Creates a context for one order of the acquisition loop.
     pub fn new(
-        observed: &'a MarginalTables,
+        observed: &'a MarginalLattice<u64>,
         known: &'a KnownCells,
         found_at_order: &'a KnownCells,
     ) -> Self {
@@ -133,13 +133,13 @@ impl<'a> RangeContext<'a> {
             }
             let found = found
                 .iter()
-                .map(|&index| (index, project(index, &cards, &weights), table.counts()[index]))
+                .map(|&index| (index, project(index, &cards, &weights), table.cells()[index]))
                 .collect();
             // Cells of `vars` in one slice of this marginal: the free
             // attributes are vars \ subset.
             let slice_cells = (0..order).filter(|&p| !in_subset(p)).map(|p| cards[p]).product();
             bounds.push(SubsetBound {
-                counts: self.table(subset).counts(),
+                counts: self.table(subset).cells(),
                 known,
                 weights,
                 found,
@@ -162,9 +162,9 @@ impl<'a> RangeContext<'a> {
         ranges.range_of(config_index)
     }
 
-    fn table(&self, vars: VarSet) -> &'a pka_contingency::Marginal {
+    fn table(&self, vars: VarSet) -> &'a MarginalTable<u64> {
         self.observed
-            .get(vars)
+            .table(vars)
             .unwrap_or_else(|| panic!("no observed marginal over {vars} was tabulated"))
     }
 }
@@ -282,7 +282,7 @@ mod tests {
 
     /// The owned inputs of a [`RangeContext`] over a table.
     struct Inputs {
-        observed: MarginalTables,
+        observed: MarginalLattice<u64>,
         known: KnownCells,
         found: KnownCells,
     }
@@ -290,7 +290,7 @@ mod tests {
     impl Inputs {
         fn new(t: &ContingencyTable, known: &[Assignment], found: &[Assignment]) -> Self {
             Self {
-                observed: MarginalTables::up_to_order(t, t.schema().len()),
+                observed: t.lattice(t.schema().len()),
                 known: KnownCells::from_cells(t.schema(), known),
                 found: KnownCells::from_cells(t.schema(), found),
             }

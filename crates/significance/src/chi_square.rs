@@ -6,7 +6,7 @@ use crate::error::SignificanceError;
 use crate::normal::Normal;
 use crate::special::gamma_q;
 use crate::Result;
-use pka_contingency::{ContingencyTable, Marginal, VarSet};
+use pka_contingency::{ContingencyTable, VarSet};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of a χ²-type test.
@@ -96,7 +96,7 @@ pub fn chi_square_independence(
         name: "second attribute",
         value: second as f64,
     })?;
-    let pair: Marginal = table.marginal(VarSet::from_indices([first, second]));
+    let pair = table.marginal(VarSet::from_indices([first, second]));
     let ma = table.marginal(VarSet::singleton(first));
     let mb = table.marginal(VarSet::singleton(second));
     let n = table.total() as f64;
@@ -108,12 +108,8 @@ pub fn chi_square_independence(
     let mut expected = Vec::with_capacity(card_a * card_b);
     for i in 0..card_a {
         for j in 0..card_b {
-            let o = if first < second {
-                pair.count_by_values(&[i, j])
-            } else {
-                pair.count_by_values(&[j, i])
-            } as f64;
-            let e = ma.count_by_values(&[i]) as f64 * mb.count_by_values(&[j]) as f64 / n;
+            let o = if first < second { pair.get(&[i, j]) } else { pair.get(&[j, i]) } as f64;
+            let e = ma.get(&[i]) as f64 * mb.get(&[j]) as f64 / n;
             observed.push(o);
             expected.push(e);
         }

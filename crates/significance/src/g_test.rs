@@ -91,12 +91,8 @@ pub fn g_test_independence(
     let mut expected = Vec::with_capacity(card_a * card_b);
     for i in 0..card_a {
         for j in 0..card_b {
-            let o = if first < second {
-                pair.count_by_values(&[i, j])
-            } else {
-                pair.count_by_values(&[j, i])
-            } as f64;
-            let e = ma.count_by_values(&[i]) as f64 * mb.count_by_values(&[j]) as f64 / n;
+            let o = if first < second { pair.get(&[i, j]) } else { pair.get(&[j, i]) } as f64;
+            let e = ma.get(&[i]) as f64 * mb.get(&[j]) as f64 / n;
             observed.push(o);
             expected.push(e);
         }

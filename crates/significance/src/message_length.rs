@@ -186,7 +186,7 @@ impl MessageLengthTest {
 mod tests {
     use super::*;
     use crate::bounds::{KnownCells, RangeContext};
-    use pka_contingency::{Assignment, Attribute, ContingencyTable, MarginalTables, Schema};
+    use pka_contingency::{Assignment, Attribute, ContingencyTable, Schema};
     use proptest::prelude::*;
 
     fn paper_table() -> ContingencyTable {
@@ -209,7 +209,7 @@ mod tests {
     /// second-order candidate cells.
     fn evaluate_paper_cell(pairs: [(usize, usize); 2], predicted_p: f64) -> MessageLengths {
         let t = paper_table();
-        let observed = MarginalTables::up_to_order(&t, 2);
+        let observed = t.lattice(2);
         let none = KnownCells::new();
         let ctx = RangeContext::new(&observed, &none, &none);
         let assignment = Assignment::from_pairs(pairs);
@@ -289,7 +289,7 @@ mod tests {
     #[test]
     fn evaluate_rejects_inconsistent_inputs() {
         let t = paper_table();
-        let observed = MarginalTables::up_to_order(&t, 2);
+        let observed = t.lattice(2);
         let none = KnownCells::new();
         let ctx = RangeContext::new(&observed, &none, &none);
         let a = Assignment::from_pairs([(0, 0), (1, 0)]);

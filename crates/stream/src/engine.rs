@@ -23,7 +23,7 @@ pub struct StreamConfig {
     pub acquisition: AcquisitionConfig,
     /// Cutoff order of the marginal lattice each published snapshot
     /// materialises for the query fast path (see
-    /// [`pka_maxent::MarginalLattice`]).
+    /// [`pka_maxent::Evaluator::lattice`]).
     pub lattice_order: usize,
 }
 

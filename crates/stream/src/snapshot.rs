@@ -19,10 +19,9 @@
 //! under 10k publishes.
 
 use arc_swap::ArcSwapOption;
+use pka_contingency::MarginalLattice;
 use pka_core::KnowledgeBase;
-use pka_maxent::{
-    FactorGraph, JointDistribution, MarginalLattice, DEFAULT_DENSE_CEILING, DEFAULT_LATTICE_ORDER,
-};
+use pka_maxent::{FactorGraph, JointDistribution, DEFAULT_DENSE_CEILING, DEFAULT_LATTICE_ORDER};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -134,7 +133,7 @@ impl Snapshot {
     /// The marginal lattice materialised at publish time — the fast path
     /// for every marginal/conditional query of order at most the lattice's
     /// cutoff.
-    pub fn lattice(&self) -> &MarginalLattice {
+    pub fn lattice(&self) -> &MarginalLattice<f64> {
         self.knowledge_base.lattice().expect("snapshots are published with a lattice")
     }
 

@@ -9,9 +9,11 @@
 //! equals `count_matching` and the message lengths equal
 //! [`MessageLengthTest::evaluate`] fed the reference range, bit for bit.
 //! A property test compares [`RangeContext::range_of`] with the reference
-//! on random small tables and random known/found sets.
+//! on random small tables and random known/found sets, and another holds
+//! the observed count lattice — top-order tables tabulated, every smaller
+//! one summed down from a parent — to `count_matching` cell by cell.
 
-use pka::contingency::{Assignment, ContingencyTable, MarginalTables, Schema};
+use pka::contingency::{Assignment, ContingencyTable, Schema};
 use pka::core::{Acquisition, AcquisitionConfig, AcquisitionOutcome, KnowledgeBase};
 use pka::datagen::{sample_table, sampler::seeded_rng, smoking, survey, WideExperiment};
 use pka::significance::{CellRange, KnownCells, MessageLengthTest, RangeContext};
@@ -157,10 +159,10 @@ fn indexed_range(
     found: &[Assignment],
     candidate: &Assignment,
 ) -> CellRange {
-    let tables = MarginalTables::up_to_order(table, table.schema().len());
+    let observed = table.lattice(table.schema().len());
     let known = KnownCells::from_cells(table.schema(), known);
     let found = KnownCells::from_cells(table.schema(), found);
-    RangeContext::new(&tables, &known, &found).range_of(candidate)
+    RangeContext::new(&observed, &known, &found).range_of(candidate)
 }
 
 /// Every cell of order `1..=len` over a schema.
@@ -230,5 +232,35 @@ proptest! {
                 reference_range(&table, &known, &found, candidate)
             );
         }
+    }
+
+    #[test]
+    fn prop_count_lattice_matches_count_matching(
+        cards in proptest::collection::vec(1usize..5, 1..7),
+        counts in proptest::collection::vec(0u64..6, 64),
+        max_order in 0usize..7,
+    ) {
+        let schema = Schema::uniform(&cards).unwrap().into_shared();
+        // Sparse tables: zero counts are common, so some cells are never
+        // observed.
+        let counts: Vec<u64> = counts
+            .iter()
+            .cycle()
+            .take(schema.cell_count())
+            .map(|&c| c.saturating_sub(3))
+            .collect();
+        let table = ContingencyTable::from_counts(Arc::clone(&schema), counts).unwrap();
+        let lattice = table.lattice(max_order);
+        let top = max_order.min(schema.len());
+        for order in 0..=top {
+            for vars in schema.all_vars().subsets_of_size(order) {
+                let observed = lattice.table(vars).expect("every order up to the cutoff");
+                for (index, values) in schema.configurations(vars).enumerate() {
+                    let cell = Assignment::new(vars, values);
+                    prop_assert_eq!(observed.cells()[index], table.count_matching(&cell));
+                }
+            }
+        }
+        prop_assert!(schema.all_vars().subsets_of_size(top + 1).iter().all(|&v| !lattice.covers(v)));
     }
 }
